@@ -1073,7 +1073,9 @@ func (m *Manager) quarantineLocked(nodeID, reason string) {
 // passes: the static image checks (checkReportStatic), plus the checks
 // only the manager's campaign state can answer — observations must
 // reference checks the manager actually issued (a known failure case and
-// one of its candidate invariants). Called with m.mu held.
+// one of its candidate invariants) — and, last, the folded stream's bound
+// on observations per invariant (checkObservationBound). Called with m.mu
+// held.
 func (m *Manager) checkReport(rep *RunReport) string {
 	if reason := checkReportStatic(m.conf.Image, rep); reason != "" {
 		return reason
@@ -1088,7 +1090,7 @@ func (m *Manager) checkReport(rep *RunReport) string {
 			return fmt.Sprintf("observation for invariant %q never issued for case %q", o.InvID, o.FailureID)
 		}
 	}
-	return ""
+	return checkObservationBound(rep)
 }
 
 // checkLearnDB applies the static database checks; see checkLearnDBStatic.

@@ -103,12 +103,18 @@ type FailureInfo struct {
 // the node ran under, so the manager can discard reports from instances
 // that had not yet applied the current phase's patches.
 type RunReport struct {
-	NodeID       string                  // the reporting node
-	Seq          uint64                  // directive sequence the run executed under
-	Outcome      uint8                   // vm.Outcome
-	ExitCode     uint32                  // exit status when Outcome is an exit
-	Failure      *FailureInfo            // the detected failure, if any
-	Observations []correlate.Observation // invariant-check observations from the run
+	NodeID   string       // the reporting node
+	Seq      uint64       // directive sequence the run executed under
+	Outcome  uint8        // vm.Outcome
+	ExitCode uint32       // exit status when Outcome is an exit
+	Failure  *FailureInfo // the detected failure, if any
+	// Observations are the run's invariant-check results in the canonical
+	// folded form correlate.CheckSet emits: per (failure case, invariant)
+	// checked in the run, [violated, last] if a check before the last
+	// failed and [last] otherwise — exactly what §2.4.3's classification
+	// reads. A report with more than two for one pair is not honest
+	// traffic; under VetReports it quarantines the sender.
+	Observations []correlate.Observation
 }
 
 // RecordingUpload ships one failing execution's recording to the manager.

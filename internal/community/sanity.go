@@ -114,6 +114,34 @@ func checkReportStatic(img *image.Image, rep *RunReport) string {
 	return ""
 }
 
+// maxObsPerInvariant bounds the observations an honest run report carries
+// for one (failure case, invariant): a node's check set folds each run's
+// checks into [violated, last] or [last] (correlate.CheckSet), however
+// many times the checked instruction ran.
+const maxObsPerInvariant = 2
+
+// checkObservationBound returns the reason a report carries more
+// observations for one (failure case, invariant) than that folded stream
+// can, or "". A flood of observations is not evidence an honest node could
+// produce; it only makes the manager's classification work grow with the
+// sender's whim.
+func checkObservationBound(rep *RunReport) string {
+	if len(rep.Observations) <= maxObsPerInvariant {
+		return ""
+	}
+	type key struct{ failure, inv string }
+	counts := make(map[key]int, len(rep.Observations))
+	for i := range rep.Observations {
+		o := &rep.Observations[i]
+		k := key{o.FailureID, o.InvID}
+		if counts[k]++; counts[k] > maxObsPerInvariant {
+			return fmt.Sprintf("report carries more than %d observations for invariant %q in case %q",
+				maxObsPerInvariant, o.InvID, o.FailureID)
+		}
+	}
+	return ""
+}
+
 // checkLearnDBStatic returns the reason an uploaded invariant database is
 // implausible, or "". Every invariant must describe instructions inside
 // the protected image — §3.1 uploads carry invariants only, and an

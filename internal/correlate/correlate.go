@@ -118,25 +118,54 @@ type Observation struct {
 // The observations stream is split into runs by the driver: StartRun begins
 // a fresh observation sequence, EndRun finalizes it with whether the
 // monitored failure recurred in that run.
+//
+// A check costs O(1) and allocates nothing: each hook records into its
+// invariant's per-run fold, and a run's observations are materialized only
+// when it ends (EndRun, DrainRun), in the canonical folded form — see
+// fold.
 type CheckSet struct {
 	FailureID string
 	Cands     []Candidate
 	Patches   []*vm.Patch
 
-	// pending two-variable first-operand values, keyed by invariant ID.
-	staged map[string]stagedVal
-
-	curObs []Observation
-	runs   []RunLog
+	// invs holds one entry per distinct invariant ID among the candidates,
+	// in first-candidate order; the hooks address it by index.
+	invs []invState
+	runs []RunLog
 
 	// Totals for the Table 3 "(violated/total checks)" accounting.
 	TotalChecks     uint64
 	TotalViolations uint64
 }
 
-type stagedVal struct {
-	val   uint32
-	valid bool
+// invState is one checked invariant's state: its ID, resolved once at build
+// time, the current run's fold, and — for a two-variable invariant checked
+// across two instructions — the first operand staged for the check.
+type invState struct {
+	id     string
+	fold   fold
+	staged uint32
+	// stagedOK reports that the staging patch read its operand this run.
+	stagedOK bool
+}
+
+// fold is one invariant's checks in one run, reduced to exactly what
+// Classify reads (§2.4.3): whether it was checked, whether its last check
+// held, and whether any earlier check was violated. Its observations are
+// the canonical sequence [violated, last] when an earlier check failed and
+// [last] otherwise, which Classify cannot tell apart from the full
+// per-check sequence.
+type fold struct {
+	checked        bool
+	last           bool // the last check was satisfied
+	violatedBefore bool // a check before the last was violated
+}
+
+func (f *fold) add(satisfied bool) {
+	if f.checked && !f.last {
+		f.violatedBefore = true
+	}
+	f.checked, f.last = true, satisfied
 }
 
 // RunLog is the per-run observation record used for classification.
@@ -147,42 +176,52 @@ type RunLog struct {
 
 // BuildCheckSet compiles checking patches for the candidates (§2.4.2).
 // Patch IDs are prefixed with the failure ID so that concurrent campaigns
-// for different failures never collide.
+// for different failures never collide. Candidates sharing an invariant ID
+// share one fold, so their checks interleave exactly as the per-check
+// stream would under that ID.
 func BuildCheckSet(failureID string, cands []Candidate) *CheckSet {
-	cs := &CheckSet{FailureID: failureID, Cands: cands, staged: make(map[string]stagedVal)}
+	cs := &CheckSet{FailureID: failureID, Cands: cands}
+	index := make(map[string]int, len(cands))
 	for _, c := range cands {
 		inv := c.Inv
+		id := inv.ID()
+		i, ok := index[id]
+		if !ok {
+			i = len(cs.invs)
+			index[id] = i
+			cs.invs = append(cs.invs, invState{id: id})
+		}
 		switch inv.NumVars() {
 		case 1:
-			cs.Patches = append(cs.Patches, cs.oneVarPatch(inv))
+			cs.Patches = append(cs.Patches, cs.oneVarPatch(inv, i))
 		case 2:
-			cs.Patches = append(cs.Patches, cs.twoVarPatches(inv)...)
+			cs.Patches = append(cs.Patches, cs.twoVarPatches(inv, i)...)
 		}
 	}
 	return cs
 }
 
-func (cs *CheckSet) record(inv *daikon.Invariant, satisfied bool) {
+// record folds one check of invariant i into the current run.
+func (cs *CheckSet) record(i int, satisfied bool) {
 	cs.TotalChecks++
 	if !satisfied {
 		cs.TotalViolations++
 	}
-	cs.curObs = append(cs.curObs, Observation{
-		InvID: inv.ID(), FailureID: cs.FailureID, Satisfied: satisfied,
-	})
+	cs.invs[i].fold.add(satisfied)
 }
 
-func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant) *vm.Patch {
+func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant, i int) *vm.Patch {
+	slot := int(inv.Var.Slot)
 	return &vm.Patch{
-		ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, inv.ID()),
+		ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, cs.invs[i].id),
 		Addr: inv.Var.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			val, err := ctx.EvalSlot(int(inv.Var.Slot))
+			val, err := ctx.EvalSlot(slot)
 			if err != nil {
 				return nil // the instruction is about to fault; no observation
 			}
-			cs.record(inv, inv.Holds(val, 0))
+			cs.record(i, inv.Holds(val, 0))
 			return nil
 		},
 	}
@@ -191,42 +230,41 @@ func (cs *CheckSet) oneVarPatch(inv *daikon.Invariant) *vm.Patch {
 // twoVarPatches builds the auxiliary patch that stages the first variable's
 // value and the checking patch at the second instruction (§2.4.2). When
 // both variables belong to one instruction a single patch suffices.
-func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant) []*vm.Patch {
+func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant, i int) []*vm.Patch {
+	id := cs.invs[i].id
 	checkPC := inv.PC()
 	if inv.Var.PC == inv.Var2.PC {
+		slot1, slot2 := int(inv.Var.Slot), int(inv.Var2.Slot)
 		return []*vm.Patch{{
-			ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, inv.ID()),
+			ID:   fmt.Sprintf("%s/check/%s", cs.FailureID, id),
 			Addr: checkPC,
 			Prio: vm.PrioCheck,
 			Hook: func(ctx *vm.Ctx) error {
-				v1, err1 := ctx.EvalSlot(int(inv.Var.Slot))
-				v2, err2 := ctx.EvalSlot(int(inv.Var2.Slot))
+				v1, err1 := ctx.EvalSlot(slot1)
+				v2, err2 := ctx.EvalSlot(slot2)
 				if err1 != nil || err2 != nil {
 					return nil
 				}
-				cs.record(inv, inv.Holds(v1, v2))
+				cs.record(i, inv.Holds(v1, v2))
 				return nil
 			},
 		}}
 	}
-	early, earlySlot := inv.Var, inv.Var.Slot
-	late, lateSlot := inv.Var2, inv.Var2.Slot
+	early, earlySlot := inv.Var, int(inv.Var.Slot)
+	late, lateSlot := inv.Var2, int(inv.Var2.Slot)
 	if late.PC < early.PC {
 		early, late = late, early
 		earlySlot, lateSlot = lateSlot, earlySlot
 	}
-	id := inv.ID()
+	swapped := early != inv.Var
 	stage := &vm.Patch{
 		ID:   fmt.Sprintf("%s/stage/%s", cs.FailureID, id),
 		Addr: early.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			val, err := ctx.EvalSlot(int(earlySlot))
-			if err != nil {
-				cs.staged[id] = stagedVal{}
-				return nil
-			}
-			cs.staged[id] = stagedVal{val: val, valid: true}
+			st := &cs.invs[i]
+			val, err := ctx.EvalSlot(earlySlot)
+			st.staged, st.stagedOK = val, err == nil
 			return nil
 		},
 	}
@@ -235,19 +273,19 @@ func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant) []*vm.Patch {
 		Addr: late.PC,
 		Prio: vm.PrioCheck,
 		Hook: func(ctx *vm.Ctx) error {
-			st := cs.staged[id]
-			if !st.valid {
+			st := &cs.invs[i]
+			if !st.stagedOK {
 				return nil
 			}
-			lateVal, err := ctx.EvalSlot(int(lateSlot))
+			lateVal, err := ctx.EvalSlot(lateSlot)
 			if err != nil {
 				return nil
 			}
-			v1, v2 := st.val, lateVal
-			if early != inv.Var {
+			v1, v2 := st.staged, lateVal
+			if swapped {
 				v1, v2 = v2, v1
 			}
-			cs.record(inv, inv.Holds(v1, v2))
+			cs.record(i, inv.Holds(v1, v2))
 			return nil
 		},
 	}
@@ -256,26 +294,37 @@ func (cs *CheckSet) twoVarPatches(inv *daikon.Invariant) []*vm.Patch {
 
 // StartRun begins a fresh observation sequence for one execution.
 func (cs *CheckSet) StartRun() {
-	cs.curObs = nil
-	cs.staged = make(map[string]stagedVal)
+	for i := range cs.invs {
+		cs.invs[i] = invState{id: cs.invs[i].id}
+	}
 }
 
 // DrainRun returns and clears the current run's observations without
 // classifying them locally. Community nodes use this to stream the
 // observations to the central manager, which performs the classification
 // (§3.2: the patches "generate a stream of invariant check observations
-// that are sent back to the centralized ClearView manager").
+// that are sent back to the centralized ClearView manager"). The stream is
+// the canonical folded one — at most two observations per invariant, in
+// candidate order — and nil when nothing was checked.
 func (cs *CheckSet) DrainRun() []Observation {
-	obs := cs.curObs
-	cs.curObs = nil
+	var obs []Observation
+	for i := range cs.invs {
+		st := &cs.invs[i]
+		if st.fold.violatedBefore {
+			obs = append(obs, Observation{InvID: st.id, FailureID: cs.FailureID})
+		}
+		if st.fold.checked {
+			obs = append(obs, Observation{InvID: st.id, FailureID: cs.FailureID, Satisfied: st.fold.last})
+		}
+		st.fold = fold{}
+	}
 	return obs
 }
 
 // EndRun finalizes the current run's observations, recording whether the
 // campaign's failure was detected during the run.
 func (cs *CheckSet) EndRun(detected bool) {
-	cs.runs = append(cs.runs, RunLog{Detected: detected, Obs: cs.curObs})
-	cs.curObs = nil
+	cs.runs = append(cs.runs, RunLog{Detected: detected, Obs: cs.DrainRun()})
 }
 
 // DetectedRuns returns how many recorded runs ended in the campaign's

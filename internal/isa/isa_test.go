@@ -147,6 +147,10 @@ func TestTargetSlot(t *testing.T) {
 	if ts := TargetSlot(ret); Slots(ret)[ts].Kind != SlotMemVal {
 		t.Errorf("RET target slot = %d", ts)
 	}
+	indexed := Inst{Op: CALLM, B: EAX, X: ESI, Scale: 2}
+	if ts := TargetSlot(indexed); ts != 3 || Slots(indexed)[ts].Kind != SlotMemVal {
+		t.Errorf("indexed CALLM target slot = %d", ts)
+	}
 	if ts := TargetSlot(Inst{Op: MOVRI, A: EAX, X: NoReg}); ts != -1 {
 		t.Errorf("MOVRI target slot = %d, want -1", ts)
 	}
@@ -191,5 +195,27 @@ func TestSextBSlotAndCopyBSlots(t *testing.T) {
 	}
 	if COPYB.EndsBlock() || COPYB.IsIndirect() || COPYB.IsStore() {
 		t.Error("copyb misclassified: plain instruction with implicit operands")
+	}
+}
+
+// TestSlotAgreesWithSlots: the allocation-free single-slot lookup returns
+// exactly Slots(in)[si] for every opcode byte, with and without an index
+// register, and rejects every index outside the list.
+func TestSlotAgreesWithSlots(t *testing.T) {
+	for op := 0; op < 256; op++ {
+		for _, x := range []Reg{NoReg, ESI} {
+			in := Inst{Op: Op(op), A: EAX, B: EBX, X: x, Scale: 2, Imm: 16}
+			specs := Slots(in)
+			for si := -1; si <= len(specs)+1; si++ {
+				got, ok := Slot(in, si)
+				inRange := si >= 0 && si < len(specs)
+				if ok != inRange {
+					t.Fatalf("%s slot %d: ok = %v, Slots has %d", in, si, ok, len(specs))
+				}
+				if inRange && got != specs[si] {
+					t.Fatalf("%s slot %d: Slot = %v, Slots = %v", in, si, got, specs[si])
+				}
+			}
+		}
 	}
 }

@@ -63,6 +63,16 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("memory fault: %s at %#x", kind, f.Addr)
 }
 
+// zeroPage backs every freshly mapped page until its first write. It is
+// never written: translations to it are cached read-only, so the first
+// write to a fresh page takes the slow path and gets a private frame —
+// mapping the 256 KiB stack of a machine costs page-table entries, not
+// 256 KiB of zeroed memory.
+var zeroPage [PageSize]byte
+
+// isZeroPage reports whether a frame is the shared zero page.
+func isZeroPage(p []byte) bool { return &p[0] == &zeroPage[0] }
+
 // pageGroup is one second-level page-table node: storage and COW metadata
 // for a 4 MiB-aligned run of 1024 pages. shared[i] marks a page whose
 // storage is referenced by at least one clone; it must be copied before
@@ -74,8 +84,8 @@ type pageGroup struct {
 
 // tlbEntry caches one translation. tag is the page number plus one so the
 // zero value never matches; page is the backing frame; writable is false
-// for COW-shared pages, forcing writes through the slow path that copies
-// the page first.
+// for COW-shared pages and the zero page, forcing writes through the slow
+// path that gives the page a private frame first.
 type tlbEntry struct {
 	tag      uint32
 	writable bool
@@ -87,10 +97,12 @@ type tlbEntry struct {
 // The access hierarchy is TLB → page table → COW: the inlined fast paths
 // of Read8/Write8/Read32/Write32 hit the direct-mapped TLB; a miss walks
 // the flat two-level page table (two array indexings, no maps) and refills
-// the TLB; a write to a COW-shared page privatizes it first. The TLB is
-// flushed whenever a translation could go stale: Clone marks every page
-// shared (cached writable bits would bypass COW), UnmarshalBinary replaces
-// the whole table, and a COW break rewrites the entry in place.
+// the TLB; a write to a COW-shared page privatizes it first, and so does
+// the first write to a freshly mapped page, which reads from the shared
+// zero page until then. The TLB is flushed whenever a translation could go
+// stale: Clone marks every page shared (cached writable bits would bypass
+// COW), UnmarshalBinary replaces the whole table, and a COW break or zero
+// fill rewrites the entry in place.
 //
 // Clone produces copy-on-write clones: the clone and the original share
 // page storage until one of them writes a shared page, at which point the
@@ -109,6 +121,7 @@ type Memory struct {
 
 	pageCount int
 	cowBreaks uint64
+	zeroFills uint64
 }
 
 // New returns an empty address space.
@@ -159,7 +172,14 @@ func (m *Memory) PageCount() int { return m.pageCount }
 // the dirty-page count a snapshot's cost is proportional to.
 func (m *Memory) CowBreaks() uint64 { return m.cowBreaks }
 
-// Map makes [addr, addr+size) accessible, zero filled.
+// ZeroFills returns how many freshly mapped pages this Memory has given a
+// private frame on their first write. A page still on the zero page when
+// the Memory is cloned is shared like any other, so its first write after
+// the clone counts as a COW break instead.
+func (m *Memory) ZeroFills() uint64 { return m.zeroFills }
+
+// Map makes [addr, addr+size) accessible, zero filled. New pages map onto
+// the shared zero page; each gets its own frame on its first write.
 func (m *Memory) Map(addr, size uint32) {
 	if size == 0 {
 		return
@@ -173,7 +193,7 @@ func (m *Memory) Map(addr, size uint32) {
 			m.groups[pn>>groupShift] = g
 		}
 		if g.pages[pn&groupMask] == nil {
-			g.pages[pn&groupMask] = make([]byte, PageSize)
+			g.pages[pn&groupMask] = zeroPage[:]
 			m.pageCount++
 		}
 		if pn == last {
@@ -201,12 +221,13 @@ func (m *Memory) readPage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr}
 	}
-	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: !g.shared[pn&groupMask], page: p}
+	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: !g.shared[pn&groupMask] && !isZeroPage(p), page: p}
 	return p, nil
 }
 
 // writePage walks the page table for a writable frame, breaking COW if
-// the page is shared and refilling the TLB with a writable translation.
+// the page is shared or zero-filling it if it is still on the zero page,
+// and refilling the TLB with a writable translation.
 func (m *Memory) writePage(addr uint32) ([]byte, error) {
 	pn := addr >> pageShift
 	g := m.groups[pn>>groupShift]
@@ -218,12 +239,16 @@ func (m *Memory) writePage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr, Write: true}
 	}
-	if g.shared[si] {
+	if shared := g.shared[si]; shared || isZeroPage(p) {
 		dup := make([]byte, PageSize)
-		copy(dup, p)
+		if shared {
+			copy(dup, p)
+			m.cowBreaks++
+		} else {
+			m.zeroFills++
+		}
 		g.pages[si] = dup
 		g.shared[si] = false
-		m.cowBreaks++
 		p = dup
 	}
 	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: true, page: p}
@@ -358,9 +383,10 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 
 // ReadRun returns a read-only view of the n bytes at addr. The run must
 // not cross a page boundary (n <= PageSize - addr%PageSize); the returned
-// slice aliases the page storage and is valid only until the next Clone,
-// COW break, or UnmarshalBinary. This is the zero-copy primitive the
-// interpreter's block-copy loop builds on.
+// slice aliases the page storage (possibly the shared zero page) and is
+// valid only until the next Clone, COW break, zero fill, or
+// UnmarshalBinary. This is the zero-copy primitive the interpreter's
+// block-copy loop builds on.
 func (m *Memory) ReadRun(addr, n uint32) ([]byte, error) {
 	pn := addr >> pageShift
 	e := &m.tlb[pn&tlbMask]
@@ -377,7 +403,8 @@ func (m *Memory) ReadRun(addr, n uint32) ([]byte, error) {
 }
 
 // WriteRun returns a writable view of the n bytes at addr, breaking COW
-// if the page is shared. The same contract as ReadRun applies.
+// if the page is shared and zero-filling it if it is fresh. The same
+// contract as ReadRun applies.
 func (m *Memory) WriteRun(addr, n uint32) ([]byte, error) {
 	pn := addr >> pageShift
 	e := &m.tlb[pn&tlbMask]
@@ -420,7 +447,7 @@ func (m *Memory) MarshalBinary() ([]byte, error) {
 	m.forEachPage(func(pn uint32, p []byte) {
 		binary.LittleEndian.PutUint32(pnb[:], pn)
 		out = append(out, pnb[:]...)
-		if allZero(p) {
+		if isZeroPage(p) || allZero(p) {
 			out = append(out, 0)
 			return
 		}
@@ -431,7 +458,8 @@ func (m *Memory) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary reconstructs an address space serialized by
-// MarshalBinary. The result owns all its pages (no sharing).
+// MarshalBinary. All-zero pages map onto the zero page, as fresh mappings
+// do; every other page is owned (no sharing).
 func (m *Memory) UnmarshalBinary(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("mem: truncated page table header: %d bytes", len(b))
@@ -449,6 +477,7 @@ func (m *Memory) UnmarshalBinary(b []byte) error {
 	m.flushTLB()
 	m.pageCount = 0
 	m.cowBreaks = 0
+	m.zeroFills = 0
 	for i := uint32(0); i < n; i++ {
 		if len(b) < 5 {
 			return fmt.Errorf("mem: truncated page record %d", i)
@@ -459,11 +488,12 @@ func (m *Memory) UnmarshalBinary(b []byte) error {
 		if pn >= 1<<(32-pageShift) {
 			return fmt.Errorf("mem: page index %#x out of range", pn)
 		}
-		page := make([]byte, PageSize)
+		page := zeroPage[:]
 		if flag != 0 {
 			if len(b) < PageSize {
 				return fmt.Errorf("mem: truncated page data for page %#x", pn)
 			}
+			page = make([]byte, PageSize)
 			copy(page, b[:PageSize])
 			b = b[PageSize:]
 		}

@@ -150,8 +150,11 @@ func Registry() *Suite {
 			// primitives (timing gates; their deterministic count metrics
 			// — presentations, survivors, msgs — are asserted exactly by
 			// the test suite and ride along as Info).
+			// Table 1 also gates allocs/op: deterministic to within a few
+			// allocations per campaign, it is what catches a check path
+			// that allocates again (hang-loop once paid 5.8M a campaign).
 			{Name: "BenchmarkTable1", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
-				Class: ClassNoisy, Info: []string{"presentations"}},
+				Class: ClassNoisy, Gate: []string{"ns/op", "allocs/op"}, Info: []string{"presentations"}},
 			{Name: "BenchmarkTable2", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Info: []string{"hook-runs"}},
 			{Name: "BenchmarkLearningOff", Package: ".", Benchtime: "2x", CIBenchtime: "1x", Class: ClassNoisy},

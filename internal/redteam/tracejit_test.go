@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/replay"
 	"repro/internal/vm"
 	"repro/internal/webapp"
@@ -128,6 +129,7 @@ func TestTraceJITDifferentialOracle(t *testing.T) {
 		diffOracle(t, name+"/default", runOracle(t, app, input, 0, false), off)
 		diffOracle(t, name+"/th1", runOracle(t, app, input, 1, false), off)
 	}
+	assertZeroPageClean(t)
 }
 
 // TestTraceJITDifferentialOracleMonitored repeats the oracle under the full
@@ -143,5 +145,23 @@ func TestTraceJITDifferentialOracleMonitored(t *testing.T) {
 		off := runOracle(t, app, input, vm.TraceDisabled, true)
 		diffOracle(t, name+"/mon-default", runOracle(t, app, input, 0, true), off)
 		diffOracle(t, name+"/mon-th1", runOracle(t, app, input, 1, true), off)
+	}
+	assertZeroPageClean(t)
+}
+
+// assertZeroPageClean demands that a fresh mapping still reads zero after
+// the oracle's runs. Fresh pages read from memory's one shared zero page,
+// so a write that reached it from any execution tier — interpreter,
+// superblock sweep, block copy, hook — would show here.
+func assertZeroPageClean(t *testing.T) {
+	t.Helper()
+	m := mem.New()
+	m.Map(0, mem.PageSize)
+	b, err := m.ReadBytes(0, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, make([]byte, mem.PageSize)) {
+		t.Fatal("a fresh mapping reads nonzero: the shared zero page was written")
 	}
 }

@@ -68,12 +68,13 @@ func (c *Ctx) TransferTarget() (uint32, error) {
 }
 
 // EvalSlot reads the current value of slot index si of the instruction.
+// It allocates nothing unless it fails: checking patches call it on every
+// execution of a checked instruction.
 func (c *Ctx) EvalSlot(si int) (uint32, error) {
-	specs := isa.Slots(c.Inst)
-	if si < 0 || si >= len(specs) {
+	spec, ok := isa.Slot(c.Inst, si)
+	if !ok {
 		return 0, fmt.Errorf("vm: slot %d out of range for %s", si, c.Inst)
 	}
-	spec := specs[si]
 	switch spec.Kind {
 	case isa.SlotRegA, isa.SlotRegB, isa.SlotRegX:
 		return c.VM.CPU.Regs[spec.Reg], nil
@@ -97,11 +98,10 @@ func (c *Ctx) EvalSlot(si int) (uint32, error) {
 // For the target slot of an indirect transfer, the transfer is redirected
 // without mutating application memory.
 func (c *Ctx) SetSlot(si int, val uint32) error {
-	specs := isa.Slots(c.Inst)
-	if si < 0 || si >= len(specs) {
+	spec, ok := isa.Slot(c.Inst, si)
+	if !ok {
 		return fmt.Errorf("vm: slot %d out of range for %s", si, c.Inst)
 	}
-	spec := specs[si]
 	switch spec.Kind {
 	case isa.SlotRegA, isa.SlotRegB, isa.SlotRegX:
 		c.VM.CPU.Regs[spec.Reg] = val
