@@ -47,7 +47,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("Table 2: page-load cost of the 57 evaluation pages per configuration")
-	fmt.Println("(unmonitored = bare; monitored = monitor rows; patched = last row;")
-	fmt.Println(" the trace-JIT-off row prices the superblock tier against the per-step interpreter)")
+	fmt.Println("(unmonitored = bare; monitored = monitor rows; patched = last row)")
 	redteam.PrintTable2(os.Stdout, rows)
 }

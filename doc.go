@@ -35,16 +35,16 @@
 // memmove, preserving interrupted-copy partial progress, per-byte step
 // accounting, and rep-movsb overlap replication bit-for-bit.
 //
-// internal/vm's dispatch is two-tier and block-linked. Each code-cache
-// block caches its resolved successor *Block pointers, so straight-line
-// and direct-branch dispatch skips the cache map; links carry a cache
-// generation and every patch apply/remove bumps it, invalidating all
-// links at once. Blocks with no hooks on a machine with no snapshot sink
-// run a tight loop with no per-instruction Ctx allocation, snapshot, or
-// hook checks — zero allocations per instruction (enforced by test) —
-// while hooked blocks run the fully instrumented loop unchanged. Edge
-// coverage is recorded at the dispatch point on every entry, linked or
-// not, so fuzzing fingerprints are independent of the optimization.
+// internal/vm has one interpreter loop, vm.Run, over a block-linked code
+// cache. Each code-cache block caches its resolved successor *Block
+// pointers, so straight-line and direct-branch dispatch skips the cache
+// map; links carry a cache generation and every patch apply/remove bumps
+// it, invalidating all links at once. Within a block, each instruction
+// runs its hook chain (if any) on one reusable Ctx and then executes from
+// a single opcode switch, so plain and instrumented runs alike allocate
+// nothing per instruction (enforced by test). Edge coverage is recorded
+// at the dispatch point on every entry, linked or not, so fuzzing
+// fingerprints are independent of the links.
 //
 //	internal/cfg        dynamic procedure discovery + predominators
 //	internal/trace      Daikon front end (per-instruction operand tracing)

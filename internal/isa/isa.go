@@ -288,8 +288,14 @@ func Decode(b []byte) (Inst, error) {
 	if b[3] != 0 {
 		return Inst{}, fmt.Errorf("isa: nonzero reserved byte %#x", b[3])
 	}
-	if in.A == NoReg && usesA(in.Op) {
-		return Inst{}, fmt.Errorf("isa: %s: missing A register", in.Op)
+	// A register nibble outside the register file (8..14, or NoReg where
+	// the operand is required) is malformed: the interpreter indexes the
+	// register file with it.
+	if !in.A.Valid() && usesA(in.Op) {
+		return Inst{}, fmt.Errorf("isa: %s: A operand %s is not a register", in.Op, in.A)
+	}
+	if !in.B.Valid() && usesB(in.Op) {
+		return Inst{}, fmt.Errorf("isa: %s: B operand %s is not a register", in.Op, in.B)
 	}
 	return in, nil
 }
@@ -300,6 +306,16 @@ func usesA(o Op) bool {
 		return false
 	}
 	return !o.IsCondBranch()
+}
+
+// usesB reports whether the opcode reads register B: the register-register
+// forms, and every memory operand (B is its base).
+func usesB(o Op) bool {
+	switch o {
+	case MOVRR, ADDRR, SUBRR, MULRR, ANDRR, ORRR, XORRR, CMPRR, DIVRR, MODRR:
+		return true
+	}
+	return o.HasMemOperand()
 }
 
 // String renders the instruction in a readable assembly-like syntax.

@@ -65,6 +65,26 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := Decode(bad[:]); err == nil {
 		t.Error("missing A register accepted")
 	}
+	// Register nibbles 8..14 name no register: rejected wherever the
+	// operand is read, accepted where it is ignored.
+	for _, tc := range []struct {
+		in Inst
+		ok bool
+	}{
+		{Inst{Op: MOVRR, A: 9, B: EAX, X: NoReg}, false},
+		{Inst{Op: MOVRR, A: EAX, B: 9, X: NoReg}, false},
+		{Inst{Op: ADDRI, A: 14, X: NoReg}, false},
+		{Inst{Op: PUSH, A: 8, X: NoReg}, false},
+		{Inst{Op: LOAD, A: EAX, B: 12, X: NoReg}, false},
+		{Inst{Op: CALLM, B: NoReg, X: NoReg}, false},
+		{Inst{Op: MOVRI, A: EAX, B: 9, X: NoReg}, true},
+		{Inst{Op: JMP, A: 9, B: 9, X: NoReg}, true},
+	} {
+		enc := tc.in.Encode()
+		if _, err := Decode(enc[:]); (err == nil) != tc.ok {
+			t.Errorf("Decode(%+v): err = %v, want accepted = %v", tc.in, err, tc.ok)
+		}
+	}
 }
 
 func TestOpClassification(t *testing.T) {

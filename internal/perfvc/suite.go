@@ -121,14 +121,6 @@ func Registry() *Suite {
 				Class: ClassSteady, Gate: []string{"ns/op", "allocs/op", "MIPS"}, Info: []string{"instrs/op"}},
 			{Name: "BenchmarkDispatchHooked", Package: "./internal/vm", Benchtime: "200000x", CIBenchtime: "30000x",
 				Class: ClassSteady, Gate: []string{"ns/op", "allocs/op", "MIPS"}, Info: []string{"instrs/op"}},
-			// The trace tier (PR 10): the same workloads pinned to the
-			// superblock path with a threshold-1 warmup, so a regression in
-			// trace recording or the fused sweep cannot hide behind the
-			// default threshold's warmup fraction.
-			{Name: "BenchmarkDispatchTraced", Package: "./internal/vm", Benchtime: "200000x", CIBenchtime: "30000x",
-				Class: ClassSteady, Gate: []string{"ns/op", "allocs/op", "MIPS"}, Info: []string{"instrs/op"}},
-			{Name: "BenchmarkDispatchHookedTraced", Package: "./internal/vm", Benchtime: "200000x", CIBenchtime: "30000x",
-				Class: ClassSteady, Gate: []string{"ns/op", "allocs/op", "MIPS"}, Info: []string{"instrs/op"}},
 			{Name: "BenchmarkCopyB", Package: "./internal/vm", Benchtime: "20000x", CIBenchtime: "5000x",
 				Class: ClassSteady, Gate: []string{"ns/op", "allocs/op", "MB/s"}},
 

@@ -47,10 +47,6 @@ func finalizeRows(rows []OverheadRow) {
 type monitorConfig struct {
 	name string
 	mons replay.Monitors
-	// trace is the vm.Config.TraceThreshold for this row (0 = the
-	// default trace tier; vm.TraceDisabled pins the row to the per-step
-	// interpreter so the table prices the superblock tier).
-	trace int
 }
 
 // table2Configs are the rows of Table 2 (§4.4.2): the paper's five
@@ -60,7 +56,6 @@ type monitorConfig struct {
 func table2Configs() []monitorConfig {
 	return []monitorConfig{
 		{name: "Bare application"},
-		{name: "Bare application (trace JIT off)", trace: vm.TraceDisabled},
 		{name: "Memory Firewall", mons: replay.Monitors{MemoryFirewall: true}},
 		{name: "Memory Firewall + Shadow Stack", mons: replay.Monitors{MemoryFirewall: true, ShadowStack: true}},
 		{name: "Memory Firewall + Heap Guard", mons: replay.Monitors{MemoryFirewall: true, HeapGuard: true}},
@@ -72,8 +67,7 @@ func table2Configs() []monitorConfig {
 
 func runUnderConfig(app *webapp.App, input []byte, mc monitorConfig, patches []*vm.Patch) (vm.RunResult, error) {
 	plugins, shadow, hang := mc.mons.Plugins()
-	machine, err := vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: patches,
-		TraceThreshold: mc.trace})
+	machine, err := vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: patches})
 	if err != nil {
 		return vm.RunResult{}, err
 	}

@@ -58,23 +58,8 @@ type Block struct {
 	// return site) skips the code-cache map. Dynamic targets (RET,
 	// indirect calls) share the same two slots under round-robin
 	// replacement.
-	links    [2]blockLink
-	linkRR   uint8
-	hasHooks bool
-
-	// Trace tier (trace.go). heat counts dispatch entries; when it crosses
-	// the VM's trace threshold the executed chain through this head is
-	// recorded and installed as sb. A superblock is valid only for the
-	// cache generation it was built under (same rule as links), so patch
-	// application invalidates every trace in O(1).
-	heat uint32
-	sb   *superblock
-	// noFuse marks blocks the fused sweep must not run: COPYB's step cost
-	// is input-dependent (one step per copied byte, so the per-step budget
-	// check cannot be hoisted), and an out-of-range register operand on a
-	// hot opcode must keep the interpreter's exact failure behavior. Such
-	// blocks always run under the per-step loops.
-	noFuse bool
+	links  [2]blockLink
+	linkRR uint8
 }
 
 // AddHook attaches a hook in front of instruction index i. The entry list
@@ -83,7 +68,6 @@ type Block struct {
 // the last entry with priority <= prio — a single backward scan and shift
 // instead of re-sorting the whole list on every insert.
 func (b *Block) AddHook(i, prio int, h Hook) {
-	b.hasHooks = true
 	if b.hooks == nil {
 		b.hooks = make([][]hookEntry, len(b.Insts))
 	}
@@ -208,10 +192,9 @@ func (v *VM) flushBlocksContaining(addr uint32) {
 			}
 		}
 	}
-	// Invalidate every successor link and superblock in one step: both
-	// carry the generation they were created under, so bumping it orphans
-	// links into (and out of) the ejected blocks — and every recorded
-	// trace — without walking the cache.
+	// Invalidate every successor link in one step: each carries the
+	// generation it was created under, so bumping it orphans links into
+	// (and out of) the ejected blocks without walking the cache.
 	v.cacheGen++
 }
 
@@ -287,7 +270,9 @@ func (v *VM) fetchBlock(pc uint32) (*Block, error) {
 	return b, nil
 }
 
-// decodeBlock reads instructions from pc until a block terminator.
+// decodeBlock reads instructions from pc through the first block
+// terminator. Run relies on it: only a block's last instruction transfers
+// control.
 func (v *VM) decodeBlock(pc uint32) (*Block, error) {
 	b := &Block{Start: pc}
 	for addr := pc; ; addr += isa.InstSize {
@@ -304,9 +289,6 @@ func (v *VM) decodeBlock(pc uint32) (*Block, error) {
 		}
 		b.Insts = append(b.Insts, in)
 		b.Addrs = append(b.Addrs, addr)
-		if in.Op == isa.COPYB || !fuseSafe(&in) {
-			b.noFuse = true
-		}
 		if in.Op.EndsBlock() {
 			return b, nil
 		}

@@ -13,7 +13,7 @@ import (
 // loop whose trip count arrives via the input stream, so one Run can be
 // scaled to exactly b.N loop iterations. The 9-instruction body is
 // straight-line arithmetic plus a store/load pair, ending in a conditional
-// backward branch — the shape the block-linked fast path is built for.
+// backward branch — the shape successor links are built for.
 func buildHotImage(t testing.TB) *image.Image {
 	im, _ := buildImage(t, func(a *asm.Assembler) {
 		a.Label("main")
@@ -88,8 +88,7 @@ func BenchmarkDispatchCoverage(b *testing.B) {
 }
 
 // BenchmarkDispatchHooked attaches a minimal tracing hook to every
-// instruction — the fully instrumented worst case the per-block fast flag
-// distinguishes from the hot path.
+// instruction — the fully instrumented worst case.
 func BenchmarkDispatchHooked(b *testing.B) {
 	var hooks uint64
 	pl := pluginFunc{name: "bench-trace", f: func(v *VM, blk *Block) {
@@ -101,33 +100,6 @@ func BenchmarkDispatchHooked(b *testing.B) {
 		}
 	}}
 	runHotLoop(b, Config{Plugins: []Plugin{pl}})
-}
-
-// BenchmarkDispatchTraced runs the hot loop with the trace threshold at 1,
-// so the superblock is recorded on the second loop entry and essentially the
-// whole benchmark runs in the fused trace tier (no warmup at the default
-// threshold). This is the pure trace-tier number; BenchmarkDispatchHot
-// measures the default configuration (threshold 64), which converges to the
-// same tier after warmup.
-func BenchmarkDispatchTraced(b *testing.B) {
-	runHotLoop(b, Config{TraceThreshold: 1})
-}
-
-// BenchmarkDispatchHookedTraced is the instrumented loop under the trace
-// tier: superblocks still dispatch hooked blocks through the reusable hook
-// context, so this measures trace-entry overhead plus the hooked block
-// executor — and must stay allocation-free.
-func BenchmarkDispatchHookedTraced(b *testing.B) {
-	var hooks uint64
-	pl := pluginFunc{name: "bench-trace", f: func(v *VM, blk *Block) {
-		for i := range blk.Insts {
-			blk.AddHook(i, PrioTrace, func(ctx *Ctx) error {
-				hooks++
-				return nil
-			})
-		}
-	}}
-	runHotLoop(b, Config{Plugins: []Plugin{pl}, TraceThreshold: 1})
 }
 
 // BenchmarkCopyB measures the block-copy instruction's throughput: one op

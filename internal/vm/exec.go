@@ -11,7 +11,7 @@ import (
 // Ctx is the machine context a hook sees: the instruction about to execute
 // and the disposition controls a repair patch may use to alter execution.
 // Dispositions are plain values (not pointers) so that the per-VM reusable
-// contexts stay allocation-free even when a repair fires.
+// context stays allocation-free even when a repair fires.
 type Ctx struct {
 	VM   *VM
 	PC   uint32
@@ -24,8 +24,8 @@ type Ctx struct {
 	overrideTarget uint32
 }
 
-// reset clears the dispositions for the next instruction; the reusable
-// per-VM contexts call it instead of being reconstructed.
+// reset clears the dispositions for the next hooked instruction, so the
+// per-VM context is reused instead of reconstructed.
 func (c *Ctx) reset(pc uint32, in isa.Inst) {
 	c.PC = pc
 	c.Inst = in
@@ -56,7 +56,7 @@ func (c *Ctx) SetReg(r isa.Reg, v uint32) { c.VM.CPU.Regs[r] = v }
 
 // EffAddr returns the memory address the current instruction computes:
 // B + X<<Scale + Imm for memory-operand instructions, ESP for RET/POP.
-func (c *Ctx) EffAddr() uint32 { return c.VM.effAddr(c.Inst) }
+func (c *Ctx) EffAddr() uint32 { return c.VM.effAddr(&c.Inst) }
 
 // TransferTarget computes the target of the current indirect control
 // transfer as the interpreter would, honouring any override already set.
@@ -64,7 +64,7 @@ func (c *Ctx) TransferTarget() (uint32, error) {
 	if c.hasOverride {
 		return c.overrideTarget, nil
 	}
-	return c.VM.computeTarget(c.Inst)
+	return c.VM.computeTarget(&c.Inst)
 }
 
 // EvalSlot reads the current value of slot index si of the instruction.
@@ -79,15 +79,15 @@ func (c *Ctx) EvalSlot(si int) (uint32, error) {
 	case isa.SlotRegA, isa.SlotRegB, isa.SlotRegX:
 		return c.VM.CPU.Regs[spec.Reg], nil
 	case isa.SlotAddr:
-		return c.VM.effAddr(c.Inst), nil
+		return c.VM.effAddr(&c.Inst), nil
 	case isa.SlotMemVal:
 		// The observed value has the instruction's access width: a byte
 		// load's operand is one byte, not the surrounding word.
 		if c.Inst.Op == isa.LOADB {
-			b, err := c.VM.Mem.Read8(c.VM.effAddr(c.Inst))
+			b, err := c.VM.Mem.Read8(c.VM.effAddr(&c.Inst))
 			return uint32(b), err
 		}
-		return c.VM.Mem.Read32(c.VM.effAddr(c.Inst))
+		return c.VM.Mem.Read32(c.VM.effAddr(&c.Inst))
 	}
 	return 0, fmt.Errorf("vm: unknown slot kind %v", spec.Kind)
 }
@@ -112,14 +112,14 @@ func (c *Ctx) SetSlot(si int, val uint32) error {
 			return nil
 		}
 		if c.Inst.Op == isa.LOADB {
-			return c.VM.Mem.Write8(c.VM.effAddr(c.Inst), byte(val))
+			return c.VM.Mem.Write8(c.VM.effAddr(&c.Inst), byte(val))
 		}
-		return c.VM.Mem.Write32(c.VM.effAddr(c.Inst), val)
+		return c.VM.Mem.Write32(c.VM.effAddr(&c.Inst), val)
 	}
 	return fmt.Errorf("vm: slot %v is not settable", spec.Kind)
 }
 
-func (v *VM) effAddr(in isa.Inst) uint32 {
+func (v *VM) effAddr(in *isa.Inst) uint32 {
 	switch in.Op {
 	case isa.RET, isa.POP:
 		return v.CPU.Regs[isa.ESP]
@@ -132,8 +132,9 @@ func (v *VM) effAddr(in isa.Inst) uint32 {
 }
 
 // computeTarget evaluates the destination of an indirect transfer without
-// executing it (used by Memory Firewall and by repair patches).
-func (v *VM) computeTarget(in isa.Inst) (uint32, error) {
+// executing it. Run transfers there; hooks (Memory Firewall, repair
+// patches) read it through Ctx.TransferTarget.
+func (v *VM) computeTarget(in *isa.Inst) (uint32, error) {
 	switch in.Op {
 	case isa.JMPR, isa.CALLR:
 		return v.CPU.Regs[in.A], nil
@@ -194,188 +195,250 @@ func (v *VM) condHolds(op isa.Op) bool {
 	return false
 }
 
-// intrCode identifies a pending software interrupt. Following the classic
-// emulator design (a syscall stores its request on the machine and the
-// dispatch loop services it at the block boundary), a SYS exit no longer
-// threads a sentinel error through exec: syscall raises intrExit, exec
-// returns normally, and the block executors service the interrupt after
-// the terminating instruction. SYS ends a basic block, so the check costs
-// one compare per block, not per instruction.
-type intrCode uint8
-
-const (
-	intrNone intrCode = iota
-	intrExit
-)
-
-// serviceInterrupt consumes the pending interrupt and produces the final
-// run result. Only intrExit exists today.
-func (v *VM) serviceInterrupt() RunResult {
-	v.intr = intrNone
-	return v.result(OutcomeExit, v.exitCode, nil, nil)
-}
-
 // errDivZero is the arithmetic fault DIVRR/MODRR raise on a zero divisor.
 // Unguarded it terminates the run as a crash; monitor.FaultGuard checks
 // the divisor first and converts the would-be fault into a monitored
 // failure with stack provenance.
 var errDivZero = errors.New("integer divide by zero")
 
-// exec performs the instruction's semantics and returns the next PC.
-func (v *VM) exec(in isa.Inst, addr uint32, ctx *Ctx) (uint32, error) {
-	next := addr + isa.InstSize
+// errHalt is the crash a HALT instruction raises.
+var errHalt = errors.New("halt instruction")
+
+// Run executes until normal exit, monitor-detected failure, crash, or the
+// step limit (treated as a hang crash). It is the machine's one
+// interpreter: each opcode's semantics are written once, in its switch or
+// in a helper the switch calls.
+//
+// The outer loop works a basic block at a time: the hang watch, then
+// dispatch, which records the coverage edge and follows (or fills) the
+// predecessor's successor link. The inner loop runs the block's
+// instructions. For each one it checks the step limit and the snapshot
+// sink, runs the instruction's hook chain on the reusable hookCtx, then
+// executes the opcode. decodeBlock ends every block at its first
+// terminator, so only a block's last instruction sets the successor pc
+// and no instruction is tested for being a terminator.
+func (v *VM) Run() RunResult {
+	// A reused machine must not leak dispatch state between runs: the
+	// entry edge of every run has From == 0 (the coverage.go Edge
+	// contract).
+	v.lastBlock = 0
 	regs := &v.CPU.Regs
-	switch in.Op {
-	case isa.NOP:
-	case isa.HALT:
-		return 0, fmt.Errorf("halt instruction")
-	case isa.MOVRI:
-		regs[in.A] = uint32(in.Imm)
-	case isa.MOVRR:
-		regs[in.A] = regs[in.B]
-	case isa.LOAD:
-		val, err := v.Mem.Read32(v.effAddr(in))
+	ctx := &v.hookCtx
+	pc := v.CPU.PC
+	var prev *Block
+blocks:
+	for {
+		if v.hangBudget != 0 && v.steps >= v.hangBudget {
+			return v.failed(v.hangFail(pc, v.steps))
+		}
+		b, err := v.dispatch(prev, pc)
 		if err != nil {
-			return 0, err
+			return v.crashed(pc, err.Error())
 		}
-		regs[in.A] = val
-	case isa.LOADB:
-		b, err := v.Mem.Read8(v.effAddr(in))
-		if err != nil {
-			return 0, err
-		}
-		regs[in.A] = uint32(b)
-	case isa.STORE:
-		if err := v.Mem.Write32(v.effAddr(in), regs[in.A]); err != nil {
-			return 0, err
-		}
-	case isa.STOREB:
-		if err := v.Mem.Write8(v.effAddr(in), byte(regs[in.A])); err != nil {
-			return 0, err
-		}
-	case isa.LEA:
-		regs[in.A] = v.effAddr(in)
-	case isa.ADDRR:
-		regs[in.A] += regs[in.B]
-	case isa.ADDRI:
-		regs[in.A] += uint32(in.Imm)
-	case isa.SUBRR:
-		regs[in.A] -= regs[in.B]
-	case isa.SUBRI:
-		regs[in.A] -= uint32(in.Imm)
-	case isa.MULRR:
-		regs[in.A] *= regs[in.B]
-	case isa.MULRI:
-		regs[in.A] *= uint32(in.Imm)
-	case isa.DIVRR:
-		if regs[in.B] == 0 {
-			return 0, errDivZero
-		}
-		regs[in.A] = uint32(int32(regs[in.A]) / int32(regs[in.B]))
-	case isa.MODRR:
-		if regs[in.B] == 0 {
-			return 0, errDivZero
-		}
-		regs[in.A] = uint32(int32(regs[in.A]) % int32(regs[in.B]))
-	case isa.LOADA:
-		a := v.effAddr(in)
-		if a&3 != 0 {
-			return 0, fmt.Errorf("unaligned 32-bit load at %#x", a)
-		}
-		val, err := v.Mem.Read32(a)
-		if err != nil {
-			return 0, err
-		}
-		regs[in.A] = val
-	case isa.ANDRR:
-		regs[in.A] &= regs[in.B]
-	case isa.ANDRI:
-		regs[in.A] &= uint32(in.Imm)
-	case isa.ORRR:
-		regs[in.A] |= regs[in.B]
-	case isa.ORRI:
-		regs[in.A] |= uint32(in.Imm)
-	case isa.XORRR:
-		regs[in.A] ^= regs[in.B]
-	case isa.XORRI:
-		regs[in.A] ^= uint32(in.Imm)
-	case isa.SHLRI:
-		regs[in.A] <<= uint32(in.Imm) & 31
-	case isa.SHRRI:
-		regs[in.A] >>= uint32(in.Imm) & 31
-	case isa.SARRI:
-		regs[in.A] = uint32(int32(regs[in.A]) >> (uint32(in.Imm) & 31))
-	case isa.SEXTB:
-		regs[in.A] = uint32(int32(int8(regs[in.A])))
-	case isa.CMPRR:
-		v.setCmpFlags(regs[in.A], regs[in.B])
-	case isa.CMPRI:
-		v.setCmpFlags(regs[in.A], uint32(in.Imm))
-	case isa.JMP:
-		return next + uint32(in.Imm), nil
-	case isa.JMPR:
-		t, err := ctx.TransferTarget()
-		if err != nil {
-			return 0, err
-		}
-		return t, nil
-	case isa.CALL:
-		if err := v.push(next); err != nil {
-			return 0, err
-		}
-		return next + uint32(in.Imm), nil
-	case isa.CALLR, isa.CALLM:
-		t, err := ctx.TransferTarget()
-		if err != nil {
-			return 0, err
-		}
-		if err := v.push(next); err != nil {
-			return 0, err
-		}
-		return t, nil
-	case isa.RET:
-		if ctx.hasOverride {
-			t := ctx.overrideTarget
-			v.CPU.Regs[isa.ESP] += 4
-			return t, nil
-		}
-		t, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		return t, nil
-	case isa.PUSH:
-		if err := v.push(regs[in.A]); err != nil {
-			return 0, err
-		}
-	case isa.PUSHI:
-		if err := v.push(uint32(in.Imm)); err != nil {
-			return 0, err
-		}
-	case isa.POP:
-		val, err := v.pop()
-		if err != nil {
-			return 0, err
-		}
-		regs[in.A] = val
-	case isa.SYS:
-		if err := v.syscall(in.Imm); err != nil {
-			return 0, err
-		}
-	case isa.COPYB:
-		if err := v.copyBlock(); err != nil {
-			return 0, err
-		}
-	default:
-		if in.Op.IsCondBranch() {
-			if v.condHolds(in.Op) {
-				return next + uint32(in.Imm), nil
+		prev = b
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			addr := b.Addrs[i]
+			v.CPU.PC = addr
+			if v.steps >= v.maxSteps {
+				return v.crashed(addr, "step limit exceeded (hang)")
 			}
-			return next, nil
+			if v.snapSink != nil {
+				v.maybeSnapshot()
+			}
+			v.steps++
+			next := addr + isa.InstSize
+			// ctx keeps the dispositions of the last hooked instruction,
+			// so an indirect transfer reads its override only when a hook
+			// ran on this one.
+			override := false
+			if b.hooks != nil && len(b.hooks[i]) != 0 {
+				ctx.reset(addr, *in)
+				for _, he := range b.hooks[i] {
+					v.hookRuns++
+					if err := he.h(ctx); err != nil {
+						if f, ok := err.(*Failure); ok {
+							return v.failed(f)
+						}
+						return v.crashed(addr, err.Error())
+					}
+					// A hook that diverts or suppresses the instruction
+					// replaces it entirely: later hooks (monitors, tracing)
+					// must not observe or validate an instruction that
+					// will not execute.
+					if ctx.hasJump || ctx.skip {
+						break
+					}
+				}
+				if ctx.hasJump {
+					pc = ctx.jumpTo
+					continue blocks
+				}
+				if ctx.skip {
+					pc = next
+					continue
+				}
+				override = ctx.hasOverride
+			}
+
+			switch in.Op {
+			case isa.NOP:
+			case isa.HALT:
+				err = errHalt
+			case isa.MOVRI:
+				regs[in.A] = uint32(in.Imm)
+			case isa.MOVRR:
+				regs[in.A] = regs[in.B]
+			case isa.LOAD:
+				var val uint32
+				if val, err = v.Mem.Read32(v.effAddr(in)); err == nil {
+					regs[in.A] = val
+				}
+			case isa.LOADB:
+				var val byte
+				if val, err = v.Mem.Read8(v.effAddr(in)); err == nil {
+					regs[in.A] = uint32(val)
+				}
+			case isa.LOADA:
+				a := v.effAddr(in)
+				if a&3 != 0 {
+					err = fmt.Errorf("unaligned 32-bit load at %#x", a)
+					break
+				}
+				var val uint32
+				if val, err = v.Mem.Read32(a); err == nil {
+					regs[in.A] = val
+				}
+			case isa.STORE:
+				err = v.Mem.Write32(v.effAddr(in), regs[in.A])
+			case isa.STOREB:
+				err = v.Mem.Write8(v.effAddr(in), byte(regs[in.A]))
+			case isa.LEA:
+				regs[in.A] = v.effAddr(in)
+			case isa.ADDRR:
+				regs[in.A] += regs[in.B]
+			case isa.ADDRI:
+				regs[in.A] += uint32(in.Imm)
+			case isa.SUBRR:
+				regs[in.A] -= regs[in.B]
+			case isa.SUBRI:
+				regs[in.A] -= uint32(in.Imm)
+			case isa.MULRR:
+				regs[in.A] *= regs[in.B]
+			case isa.MULRI:
+				regs[in.A] *= uint32(in.Imm)
+			case isa.DIVRR:
+				if regs[in.B] == 0 {
+					err = errDivZero
+					break
+				}
+				regs[in.A] = uint32(int32(regs[in.A]) / int32(regs[in.B]))
+			case isa.MODRR:
+				if regs[in.B] == 0 {
+					err = errDivZero
+					break
+				}
+				regs[in.A] = uint32(int32(regs[in.A]) % int32(regs[in.B]))
+			case isa.ANDRR:
+				regs[in.A] &= regs[in.B]
+			case isa.ANDRI:
+				regs[in.A] &= uint32(in.Imm)
+			case isa.ORRR:
+				regs[in.A] |= regs[in.B]
+			case isa.ORRI:
+				regs[in.A] |= uint32(in.Imm)
+			case isa.XORRR:
+				regs[in.A] ^= regs[in.B]
+			case isa.XORRI:
+				regs[in.A] ^= uint32(in.Imm)
+			case isa.SHLRI:
+				regs[in.A] <<= uint32(in.Imm) & 31
+			case isa.SHRRI:
+				regs[in.A] >>= uint32(in.Imm) & 31
+			case isa.SARRI:
+				regs[in.A] = uint32(int32(regs[in.A]) >> (uint32(in.Imm) & 31))
+			case isa.SEXTB:
+				regs[in.A] = uint32(int32(int8(regs[in.A])))
+			case isa.CMPRR:
+				v.setCmpFlags(regs[in.A], regs[in.B])
+			case isa.CMPRI:
+				v.setCmpFlags(regs[in.A], uint32(in.Imm))
+			case isa.PUSH:
+				err = v.push(regs[in.A])
+			case isa.PUSHI:
+				err = v.push(uint32(in.Imm))
+			case isa.POP:
+				var val uint32
+				if val, err = v.pop(); err == nil {
+					regs[in.A] = val
+				}
+			case isa.COPYB:
+				err = v.copyBlock()
+
+			// Terminators: each sets the successor pc.
+			case isa.JMP:
+				pc = next + uint32(in.Imm)
+			case isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JBE, isa.JA, isa.JAE:
+				pc = next
+				if v.condHolds(in.Op) {
+					pc += uint32(in.Imm)
+				}
+			case isa.CALL:
+				err = v.push(next)
+				pc = next + uint32(in.Imm)
+			case isa.JMPR, isa.CALLR, isa.CALLM, isa.RET:
+				t := ctx.overrideTarget
+				if !override {
+					if t, err = v.computeTarget(in); err != nil {
+						break
+					}
+				}
+				switch in.Op {
+				case isa.CALLR, isa.CALLM:
+					err = v.push(next)
+				case isa.RET:
+					regs[isa.ESP] += 4
+				}
+				pc = t
+			case isa.SYS:
+				if in.Imm == isa.SysExit {
+					return v.result(OutcomeExit, regs[isa.EAX], nil, nil)
+				}
+				err = v.syscall(in.Imm)
+				pc = next
+			default:
+				err = fmt.Errorf("unimplemented opcode %s", in.Op)
+			}
+
+			if err != nil {
+				// A fault: continue at a registered exception handler, or
+				// end the run.
+				target, f, handled := v.dispatchException(addr, err)
+				switch {
+				case !handled:
+					return v.crashed(addr, err.Error())
+				case f != nil:
+					return v.failed(f)
+				}
+				pc = target
+				continue blocks
+			}
 		}
-		return 0, fmt.Errorf("unimplemented opcode %s", in.Op)
 	}
-	return next, nil
+}
+
+// failed ends the run with a monitor-detected failure, attaching the shadow
+// stack's snapshot if the monitor supplied none.
+func (v *VM) failed(f *Failure) RunResult {
+	if f.Stack == nil {
+		f.Stack = v.snapshotStack()
+	}
+	return v.result(OutcomeFailure, 0, f, nil)
+}
+
+// crashed ends the run with a crash no monitor caught.
+func (v *VM) crashed(pc uint32, reason string) RunResult {
+	return v.result(OutcomeCrash, 0, nil, &Crash{PC: pc, Reason: reason})
 }
 
 // copyBlock executes COPYB page-run-at-a-time while preserving the
@@ -432,10 +495,6 @@ func (v *VM) copyBlock() error {
 func (v *VM) syscall(num int32) error {
 	regs := &v.CPU.Regs
 	switch num {
-	case isa.SysExit:
-		v.exitCode = regs[isa.EAX]
-		v.intr = intrExit
-		return nil
 	case isa.SysAlloc:
 		addr, err := v.Heap.Alloc(regs[isa.EAX])
 		if err != nil {
@@ -515,194 +574,4 @@ func (v *VM) dispatchException(pc uint32, execErr error) (uint32, *Failure, bool
 		return 0, nil, false
 	}
 	return handler, nil, true
-}
-
-// finishExec converts a non-nil exec error into either a continuation pc
-// (exception-handler dispatch) or a final RunResult. Shared by the fast
-// and instrumented dispatch loops so the two agree bit-for-bit on
-// termination semantics.
-func (v *VM) finishExec(addr uint32, err error) (pc uint32, res RunResult, done bool) {
-	if f, ok := err.(*Failure); ok {
-		if f.Stack == nil {
-			f.Stack = v.snapshotStack()
-		}
-		return 0, v.result(OutcomeFailure, 0, f, nil), true
-	}
-	if target, f, handled := v.dispatchException(addr, err); handled {
-		if f != nil {
-			if f.Stack == nil {
-				f.Stack = v.snapshotStack()
-			}
-			return 0, v.result(OutcomeFailure, 0, f, nil), true
-		}
-		return target, RunResult{}, false
-	}
-	return 0, v.result(OutcomeCrash, 0, nil, &Crash{PC: addr, Reason: err.Error()}), true
-}
-
-// Run executes until normal exit, monitor-detected failure, crash, or the
-// step limit (treated as a hang crash).
-//
-// Dispatch is three-tier. Block heads that cross the trace-heat threshold
-// get the hot path through them recorded and fused into a superblock
-// (trace.go): decode consulted once, per-step guard checks hoisted to
-// logical-block entry, side exits on path divergence or patch-point
-// invalidation. Below that, blocks with no hooks on a machine with no
-// snapshot sink run the fast loop (execBlockFast): no per-instruction Ctx
-// construction, no snapshot or hook checks, and no allocations.
-// Everything else runs the instrumented loop (execBlockHooked), which
-// reuses the per-VM hook context so monitored dispatch is allocation-free
-// too.
-func (v *VM) Run() RunResult {
-	pc := v.CPU.PC
-	var prev *Block
-	// A reused machine must not leak dispatch state between runs: the
-	// entry edge of every run has From == 0 (the coverage.go Edge
-	// contract), no trace recording spans runs, and no software interrupt
-	// is pending.
-	v.lastBlock = 0
-	v.rec.active = false
-	v.intr = intrNone
-	for {
-		if v.hangBudget != 0 && v.steps >= v.hangBudget {
-			f := v.hangFail(pc, v.steps)
-			if f.Stack == nil {
-				f.Stack = v.snapshotStack()
-			}
-			return v.result(OutcomeFailure, 0, f, nil)
-		}
-		b, err := v.dispatch(prev, pc)
-		if err != nil {
-			return v.result(OutcomeCrash, 0, nil, &Crash{PC: pc, Reason: err.Error()})
-		}
-		prev = b
-
-		if sb := b.sb; sb != nil && sb.gen == v.cacheGen {
-			// The trace recorder cannot see the blocks a superblock runs,
-			// so an in-flight recording of some other head is abandoned.
-			v.rec.active = false
-			npc, res, done := v.runSuperblock(sb)
-			if done {
-				return res
-			}
-			pc = npc
-			continue
-		}
-		if v.traceThreshold != 0 {
-			v.observeBlock(b)
-		}
-
-		var npc uint32
-		var res RunResult
-		var done bool
-		if !b.hasHooks && v.snapSink == nil {
-			npc, res, done = v.execBlockFast(b)
-		} else {
-			npc, res, done = v.execBlockHooked(b)
-		}
-		if done {
-			return res
-		}
-		pc = npc
-	}
-}
-
-// execBlockFast runs one unhooked basic block on a machine with no
-// snapshot sink: no per-instruction Ctx construction and no allocations —
-// the reusable fastCtx carries the (never set) disposition state exec
-// consults for indirect transfers. Returns the successor pc, or the final
-// result when the run terminated inside the block.
-func (v *VM) execBlockFast(b *Block) (uint32, RunResult, bool) {
-	insts := b.Insts
-	for i := range insts {
-		addr := b.Addrs[i]
-		in := insts[i]
-		v.CPU.PC = addr
-		if v.steps >= v.maxSteps {
-			return 0, v.result(OutcomeCrash, 0, nil, &Crash{PC: addr, Reason: "step limit exceeded (hang)"}), true
-		}
-		v.steps++
-		v.fastCtx.PC = addr
-		v.fastCtx.Inst = in
-		next, err := v.exec(in, addr, &v.fastCtx)
-		if err != nil {
-			target, res, done := v.finishExec(addr, err)
-			if done {
-				return 0, res, true
-			}
-			return target, RunResult{}, false
-		}
-		if in.Op.EndsBlock() {
-			if v.intr != intrNone {
-				return 0, v.serviceInterrupt(), true
-			}
-			return next, RunResult{}, false
-		}
-	}
-	// decodeBlock guarantees a terminator; fall through defensively.
-	return b.Start + uint32(len(insts))*isa.InstSize, RunResult{}, false
-}
-
-// execBlockHooked runs one basic block under full instrumentation: the
-// per-instruction snapshot check and the hook chains. The per-VM hookCtx
-// is reused with its dispositions reset per instruction, so the monitored
-// path performs no per-instruction allocation either.
-func (v *VM) execBlockHooked(b *Block) (uint32, RunResult, bool) {
-	ctx := &v.hookCtx
-	for i := range b.Insts {
-		addr := b.Addrs[i]
-		in := b.Insts[i]
-		v.CPU.PC = addr
-		if v.steps >= v.maxSteps {
-			return 0, v.result(OutcomeCrash, 0, nil, &Crash{PC: addr, Reason: "step limit exceeded (hang)"}), true
-		}
-		v.maybeSnapshot()
-		v.steps++
-		ctx.reset(addr, in)
-		if b.hooks != nil {
-			for _, he := range b.hooks[i] {
-				v.hookRuns++
-				if err := he.h(ctx); err != nil {
-					if f, ok := err.(*Failure); ok {
-						if f.Stack == nil {
-							f.Stack = v.snapshotStack()
-						}
-						return 0, v.result(OutcomeFailure, 0, f, nil), true
-					}
-					return 0, v.result(OutcomeCrash, 0, nil, &Crash{PC: addr, Reason: err.Error()}), true
-				}
-				// A hook that diverts or suppresses the instruction
-				// replaces it entirely: later hooks (monitors, tracing)
-				// must not observe or validate an instruction that will
-				// not execute.
-				if ctx.hasJump || ctx.skip {
-					break
-				}
-			}
-		}
-		if ctx.hasJump {
-			return ctx.jumpTo, RunResult{}, false
-		}
-		if ctx.skip {
-			if in.Op.EndsBlock() {
-				return addr + isa.InstSize, RunResult{}, false
-			}
-			continue
-		}
-		next, err := v.exec(in, addr, ctx)
-		if err != nil {
-			target, res, done := v.finishExec(addr, err)
-			if done {
-				return 0, res, true
-			}
-			return target, RunResult{}, false
-		}
-		if in.Op.EndsBlock() {
-			if v.intr != intrNone {
-				return 0, v.serviceInterrupt(), true
-			}
-			return next, RunResult{}, false
-		}
-	}
-	return b.Start + uint32(len(b.Insts))*isa.InstSize, RunResult{}, false
 }

@@ -29,6 +29,40 @@ func TestRandomCodeNeverPanicsHost(t *testing.T) {
 			t.Fatalf("trial %d: undefined outcome %v", trial, res.Outcome)
 		}
 	}
+	// Random bytes almost never decode, so the trials above seldom hand the
+	// interpreter a malformed operand. These build every instruction from a
+	// defined opcode and a zero reserved byte and leave the register
+	// nibbles random — mostly in range, so runs get past their first block.
+	nibble := func() isa.Reg {
+		if rng.Intn(4) == 0 {
+			return isa.Reg(8 + rng.Intn(8))
+		}
+		return isa.Reg(rng.Intn(isa.NumRegs))
+	}
+	for trial := 0; trial < 200; trial++ {
+		var code []byte
+		for i := 0; i < 64; i++ {
+			op := isa.Op(rng.Intn(256))
+			for !op.Valid() {
+				op = isa.Op(rng.Intn(256))
+			}
+			in := isa.Inst{Op: op, A: nibble(), B: nibble(), X: nibble(),
+				Scale: uint8(rng.Intn(4)), Imm: int32(rng.Intn(16)-4) * isa.InstSize}
+			enc := in.Encode()
+			code = append(code, enc[:]...)
+		}
+		img := &image.Image{Base: 0x1000, Entry: 0x1000, Code: code}
+		machine, err := New(Config{Image: img, MaxSteps: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := machine.Run()
+		switch res.Outcome {
+		case OutcomeExit, OutcomeFailure, OutcomeCrash:
+		default:
+			t.Fatalf("register trial %d: undefined outcome %v", trial, res.Outcome)
+		}
+	}
 }
 
 // TestRandomValidProgramsBounded: randomly assembled *valid* instructions

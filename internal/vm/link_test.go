@@ -131,7 +131,7 @@ func TestLinkRefreshAfterGenBump(t *testing.T) {
 		a.MovRI(isa.EAX, 0)
 		a.Sys(isa.SysExit)
 	})
-	v, err := New(Config{Image: im, TraceThreshold: TraceDisabled})
+	v, err := New(Config{Image: im})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +264,8 @@ func loopProgramWithCoverage(t testing.TB, iters int32, cov *Coverage) (*VM, map
 	return v, labels
 }
 
-// TestHotLoopZeroAllocs proves the unhooked fast path allocates nothing
-// per instruction: two identical machines differing only in trip count
+// TestHotLoopZeroAllocs proves an unhooked run allocates nothing per
+// instruction: two identical machines differing only in trip count
 // (1k vs 101k loop iterations) must allocate the same, modulo a small
 // constant slack for runtime noise.
 func TestHotLoopZeroAllocs(t *testing.T) {

@@ -77,11 +77,9 @@ func (v *VM) Restore(s *Snapshot) {
 	v.hookRuns = s.HookRuns
 	v.blocks = s.Blocks
 	v.cache = make(map[uint32]*Block)
-	v.addrIndex = nil    // rebuilt lazily if another patch lands
-	v.cacheGen++         // orphan successor links and superblocks held by pre-restore blocks
-	v.lastBlock = 0      // coverage resumes with a fresh entry edge
-	v.rec.active = false // no trace recording spans a restore
-	v.intr = intrNone
+	v.addrIndex = nil // rebuilt lazily if another patch lands
+	v.cacheGen++      // orphan successor links held by pre-restore blocks
+	v.lastBlock = 0   // coverage resumes with a fresh entry edge
 }
 
 // maybeSnapshot emits a periodic snapshot to the configured sink. Called

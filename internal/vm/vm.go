@@ -148,25 +148,7 @@ type Config struct {
 	// time the dispatch loop enters a block from the code cache, the
 	// (previous block, next block) edge is counted. nil costs nothing.
 	Coverage *Coverage
-
-	// TraceThreshold is the block-entry heat at which the dispatch loop
-	// records the executed path through a block head and fuses it into a
-	// superblock (trace.go). Zero selects DefaultTraceThreshold;
-	// TraceDisabled turns trace compilation off entirely (pure
-	// block-at-a-time interpretation, e.g. for differential oracles).
-	TraceThreshold int
 }
-
-// Trace-tier tuning. The threshold is deliberately low: the guest programs
-// are short request handlers, so a loop that runs even a few dozen times
-// dominates a run.
-const (
-	// DefaultTraceThreshold is the block-entry count that triggers trace
-	// recording when Config.TraceThreshold is zero.
-	DefaultTraceThreshold = 64
-	// TraceDisabled as Config.TraceThreshold disables the trace tier.
-	TraceDisabled = -1
-)
 
 // VM is one executing instance of the protected application.
 type VM struct {
@@ -185,23 +167,12 @@ type VM struct {
 	cacheGen uint64
 	stack    StackProvider
 
-	// fastCtx is the reusable hook context of the unhooked fast path.
-	// No hook ever observes it, so its disposition fields stay unset and
-	// the hot loop performs no per-instruction allocation.
-	fastCtx Ctx
-	// hookCtx is the reusable context of the instrumented path: hooks see
-	// it for exactly one instruction and never retain it, so it is reset
-	// (not reallocated) per instruction.
+	// hookCtx is the one context every hook is handed. A hook sees it for
+	// exactly one instruction and never retains it, so Run resets it per
+	// hooked instruction instead of allocating, and monitored runs stay
+	// allocation-free.
 	hookCtx Ctx
 
-	// intr is the pending software interrupt (exec.go): a SYS exit stores
-	// its request here and the block executors service it at the block
-	// boundary instead of threading a sentinel error through exec.
-	intr intrCode
-
-	// Trace tier (trace.go/superblock.go).
-	traceThreshold uint32        // block heat that triggers recording; 0 = disabled
-	rec            traceRecorder // in-flight trace recording, if any
 	// addrIndex maps each code address covered by a cached block to the
 	// blocks containing it, so patch apply/remove flushes only the blocks
 	// actually touching the patched instruction instead of walking the
@@ -222,7 +193,6 @@ type VM struct {
 	inPos    int
 	output   []byte
 	maxSteps uint64
-	exitCode uint32 // set when SYS exit raises intrExit
 
 	steps    uint64
 	hookRuns uint64
@@ -290,20 +260,11 @@ func New(cfg Config) (*VM, error) {
 		stackLo:  cfg.StackTop - cfg.StackSize,
 		stackHi:  cfg.StackTop,
 	}
-	switch {
-	case cfg.TraceThreshold > 0:
-		v.traceThreshold = uint32(cfg.TraceThreshold)
-	case cfg.TraceThreshold == 0:
-		v.traceThreshold = DefaultTraceThreshold
-	default: // TraceDisabled
-		v.traceThreshold = 0
-	}
 	if cfg.SnapshotInterval > 0 && cfg.SnapshotSink != nil {
 		v.snapInterval = cfg.SnapshotInterval
 		v.snapSink = cfg.SnapshotSink
 	}
 	v.cov = cfg.Coverage
-	v.fastCtx.VM = v
 	v.hookCtx.VM = v
 	v.CPU.PC = cfg.Image.Entry
 	v.CPU.Regs[isa.ESP] = cfg.StackTop
