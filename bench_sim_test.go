@@ -8,15 +8,16 @@ import (
 	"repro/internal/redteam"
 )
 
-// BenchmarkSimSoak times the discrete-event simulator on a mid-scale
-// hierarchical campaign — 2,000 nodes behind 16 aggregators with 40
-// adversaries and churn, two orders of magnitude past what the
-// goroutine soak benches at — and reports the scheduler's own shape:
-// events fired, central-manager envelopes, and memoized executions.
-// The campaign must converge with every adversary quarantined; the
-// counts are deterministic (the sim is seeded and serial) and ride
-// along as Info metrics, so the perf surface tracked here is the
-// scheduler + wire-cache cost per simulated campaign.
+// BenchmarkSimSoak times a simulated soak (loopback transport plus
+// execution memo) on a mid-scale hierarchical campaign — 2,000 nodes
+// behind 16 aggregators with 40 adversaries and churn, two orders of
+// magnitude past what the goroutine soak benches at — and reports the
+// campaign's shape: schedule steps (member turns, flushes, convergence
+// checks), central-manager envelopes, and memoized executions. The
+// campaign must converge with every adversary quarantined; the counts
+// are deterministic (the schedule is seeded and serial) and ride along
+// as Info metrics, so the perf surface tracked here is the handler +
+// wire-cache cost per simulated campaign.
 func BenchmarkSimSoak(b *testing.B) {
 	setup, _ := sharedSetups(b)
 	var attacks []community.SoakAttack

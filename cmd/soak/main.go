@@ -14,7 +14,7 @@
 //	soak -profile                   per-stage wall/on-CPU/blocked table
 //	soak -metrics soak.json         full telemetry snapshot as JSON
 //	soak -chaos -seed 7             inject seeded transport faults + a root failover
-//	soak -sim -nodes 100000         discrete-event simulation at deployment scale
+//	soak -sim -nodes 100000         loopback transport + execution memo, at deployment scale
 package main
 
 import (
@@ -57,7 +57,7 @@ func main() {
 	parallel := flag.Bool("parallel", true, "run member turns and aggregator flushes concurrently (false = deterministic serial rounds)")
 	chaos := flag.Bool("chaos", false, "inject seeded transport faults (drops, delays, duplicates, disconnects, partitions), replicate the root, and crash its leader mid-campaign under -churn")
 	seed := flag.Int64("seed", 1, "chaos fault-schedule seed (with -chaos)")
-	simulate := flag.Bool("sim", false, "run the campaign as a discrete-event simulation (internal/community/sim): no goroutine per node, virtual time — the shape for -nodes 100000 and beyond; forces serial rounds")
+	simulate := flag.Bool("sim", false, "simulate the campaign (internal/community/sim): the same schedule over synchronous loopbacks with memoized executions, no goroutine per connection — the shape for -nodes 100000 and beyond; forces serial rounds")
 	flag.Parse()
 
 	conf := soakFlags{
@@ -162,14 +162,14 @@ func run(f soakFlags) error {
 	// only the convergence verdict (not any golden output) depends on here.
 	// Under chaos the flushes stay serial: every flush applies twice (leader
 	// + follower) behind the replication lock, and a 32-way flush convoy
-	// there would outlast the retry policy's patience. The simulator IS the
-	// serial schedule, so -sim forces both off.
+	// there would outlast the retry policy's patience. A simulated soak is
+	// serial, so -sim forces both off.
 	conf.ParallelMembers = f.parallel && !f.sim
 	conf.ParallelFlush = f.parallel && !f.chaos && !f.sim
 
 	mode := "goroutine-per-node"
 	if f.sim {
-		mode = "discrete-event sim"
+		mode = "simulated"
 	}
 	fmt.Fprintf(os.Stderr, "soaking %d nodes (%d aggregators, %d adversaries, churn: %v) x %d attacks (batched: %v, %s)...\n",
 		f.nodes, f.aggregators, f.adversaries, f.churn, len(attacks), f.batch, mode)
@@ -180,8 +180,8 @@ func run(f soakFlags) error {
 		simRep, err = sim.Run(conf)
 		if simRep != nil {
 			rep = &simRep.SoakReport
-			fmt.Fprintf(os.Stderr, "sim: %d events, virtual time %d, %d memo hits / %d misses / %d genuine runs\n",
-				simRep.Events, simRep.VirtualTime, simRep.MemoHits, simRep.MemoMisses, simRep.GenuineRuns)
+			fmt.Fprintf(os.Stderr, "sim: %d schedule steps, %d memo hits / %d misses / %d genuine runs\n",
+				simRep.Events, simRep.MemoHits, simRep.MemoMisses, simRep.GenuineRuns)
 		}
 	} else {
 		rep, err = community.RunSoak(conf)

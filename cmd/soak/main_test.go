@@ -155,17 +155,9 @@ func TestMetricsFileStages(t *testing.T) {
 	checkSnapshotFile(t, path)
 }
 
-// simStages is every scheduler event kind a churning sim soak with
-// adversaries must have fired, on top of the shared pipeline stages —
-// the discrete-event equivalent of the goroutine soak's stage table.
-var simStages = []string{
-	"sim.sync", "sim.execute", "sim.detect", "sim.report", "sim.adopt",
-	"sim.flush", "sim.churn", "sim.converge", "sim.tamper", "sim.decoy",
-}
-
-// checkSimSnapshotFile layers the simulator's telemetry contract on the
-// shared one: every sim.* event kind sampled, and the scheduler's own
-// counters (events fired, member turns, memoized executions) nonzero.
+// checkSimSnapshotFile layers the simulated soak's counters on the
+// shared telemetry contract: schedule steps, member turns and memoized
+// executions must all be nonzero.
 func checkSimSnapshotFile(t *testing.T, path string) {
 	t.Helper()
 	checkSnapshotFile(t, path)
@@ -177,14 +169,6 @@ func checkSimSnapshotFile(t *testing.T, path string) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range simStages {
-		st := snap.Stage(name)
-		if st == nil {
-			t.Errorf("sim stage %q missing from metrics", name)
-		} else if st.Spans == 0 {
-			t.Errorf("sim stage %q reports zero samples", name)
-		}
-	}
 	for _, name := range []string{"sim.events", "sim.turns", "sim.memo_hits"} {
 		if snap.Counter(name) == 0 {
 			t.Errorf("counter %q is zero; the sim run proved nothing", name)
@@ -192,9 +176,9 @@ func checkSimSnapshotFile(t *testing.T, path string) {
 	}
 }
 
-// TestSimSoakSmokeMetrics runs the smoke-shaped soak through the
-// discrete-event simulator (-sim) and asserts the same telemetry
-// contract plus the sim scheduler's own stages and counters.
+// TestSimSoakSmokeMetrics runs the smoke-shaped soak simulated (-sim)
+// and asserts the same telemetry contract plus the simulated soak's own
+// counters.
 func TestSimSoakSmokeMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke skipped in -short mode")

@@ -100,7 +100,7 @@ type Aggregator struct {
 	epoch     uint64
 	delivered uint64 // see epoch
 
-	conns  map[Conn]bool // live member connections, for Close
+	served *connSet // live member connections, severed by Close
 	closed bool
 
 	// upstream is the live manager connection — conf.Upstream until the
@@ -148,7 +148,7 @@ func NewAggregator(conf AggregatorConfig) (*Aggregator, error) {
 		recFrom:     make(map[uint32]string),
 		quarantined: make(map[string]bool),
 		imgWire:     conf.Image.Marshal(),
-		conns:       make(map[Conn]bool),
+		served:      newConnSet("aggregator " + conf.ID),
 		upstream:    conf.Upstream,
 		tr:          conf.Obs,
 		reg:         reg,
@@ -171,40 +171,10 @@ func NewAggregator(conf AggregatorConfig) (*Aggregator, error) {
 // goroutine per connection, like Manager.Serve. The connection is bound to
 // the first sender identity it claims (see bindSender), so a member cannot
 // switch to a peer's identity mid-stream.
-func (a *Aggregator) Serve(conn Conn) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = conn.Close()
-		return fmt.Errorf("community: aggregator %s is closed", a.conf.ID)
-	}
-	a.conns[conn] = true
-	a.mu.Unlock()
-	defer func() {
-		// Drop the tracking entry when the connection dies, so a
-		// long-lived aggregator under churn (members re-attaching over
-		// fresh connections for years) holds only live connections.
-		a.mu.Lock()
-		delete(a.conns, conn)
-		a.mu.Unlock()
-		_ = conn.Close()
-	}()
-	var sender string
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		reply, err := a.handle(env, &sender)
-		if err != nil {
-			return err
-		}
-		reply.Token = env.Token // correlate; see Envelope.Token
-		if err := conn.Send(reply); err != nil {
-			return err
-		}
-	}
-}
+func (a *Aggregator) Serve(conn Conn) error { return a.endpoint().serve(conn) }
+
+// endpoint is the aggregator as a transport sees it.
+func (a *Aggregator) endpoint() endpoint { return endpoint{a.handle, a.served} }
 
 // handle buffers one member message, flushes if the message made a flush
 // due, and answers from the directive cache. bound is the connection's
@@ -984,16 +954,9 @@ func (a *Aggregator) Close() error {
 		return nil
 	}
 	a.closed = true
-	conns := make([]Conn, 0, len(a.conns))
-	for c := range a.conns {
-		conns = append(conns, c)
-	}
-	a.conns = make(map[Conn]bool)
 	up := a.upstream
 	a.mu.Unlock()
 	_ = up.Close()
-	for _, c := range conns {
-		_ = c.Close()
-	}
+	a.served.sever(true)
 	return nil
 }

@@ -148,6 +148,27 @@ func TestPipeRecvDrainsAfterClose(t *testing.T) {
 	}
 }
 
+// TestPipeSendAfterCloseFails: a send on a closed pipe must fail every
+// time, even while the buffer has room. Otherwise a request sent after a
+// severed connection "succeeds" into a buffer nobody reads, and the
+// resilient client surrenders it as already delivered. The peer drains
+// any envelope that slips through, so the buffer never fills and each
+// send is a fresh chance to slip.
+func TestPipeSendAfterCloseFails(t *testing.T) {
+	a, b := Pipe()
+	_ = a.Close()
+	slipped := 0
+	for i := 0; i < 1000; i++ {
+		if err := a.Send(Envelope{Kind: MsgAck}); err == nil {
+			slipped++
+			_, _ = b.Recv()
+		}
+	}
+	if slipped > 0 {
+		t.Fatalf("%d of 1000 sends on a closed pipe succeeded", slipped)
+	}
+}
+
 // TestTCPRecvTimeoutExpires: the TCP substrate honors per-receive
 // deadlines, so a resilient client waiting on a lost reply gets a timeout
 // it can retry on instead of hanging forever.

@@ -337,24 +337,11 @@ func (m *Manager) CaseStates() map[uint32]core.CaseState {
 // The connection is bound to the first sender identity it claims (see
 // bindSender), so one peer cannot speak as a member and later as another
 // member or an aggregator over the same channel.
-func (m *Manager) Serve(conn Conn) error {
-	defer conn.Close()
-	var sender string
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		reply, err := m.handle(env, &sender)
-		if err != nil {
-			return err
-		}
-		reply.Token = env.Token // correlate; see Envelope.Token
-		if err := conn.Send(reply); err != nil {
-			return err
-		}
-	}
-}
+func (m *Manager) Serve(conn Conn) error { return m.endpoint().serve(conn) }
+
+// endpoint is the manager as a transport sees it. A lone manager never
+// severs its connections, so it tracks none.
+func (m *Manager) endpoint() endpoint { return endpoint{handle: m.handle} }
 
 func (m *Manager) handle(env Envelope, bound *string) (Envelope, error) {
 	m.cMessages.Inc()

@@ -50,6 +50,9 @@ type Node struct {
 
 	engine   *daikon.Engine
 	maxSteps uint64
+	// memo answers eligible executions from a simulated soak's cohort
+	// (nil: every execution runs for real).
+	memo *execMemo
 }
 
 // NewNode creates a node manager speaking to the central manager over
@@ -403,7 +406,7 @@ func (n *Node) RunOnce(input []byte) (vm.RunResult, error) {
 	if err := n.Sync(); err != nil {
 		return vm.RunResult{}, err
 	}
-	res, rep, rawRec, err := n.runLocal(input)
+	res, rep, rawRec, err := n.memo.run(n, input)
 	if err != nil {
 		return res, err
 	}
@@ -439,7 +442,7 @@ func (n *Node) RunBatch(inputs [][]byte) ([]vm.RunResult, error) {
 	batch := Batch{NodeID: n.ID}
 	results := make([]vm.RunResult, 0, len(inputs))
 	for _, input := range inputs {
-		res, rep, rawRec, err := n.runLocal(input)
+		res, rep, rawRec, err := n.memo.run(n, input)
 		if err != nil {
 			return results, err
 		}

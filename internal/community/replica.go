@@ -37,8 +37,7 @@ type RootGroup struct {
 	leader    *Manager
 	followers []*Manager
 	log       []logEntry
-	conns     map[Conn]bool
-	closed    bool
+	served    *connSet // live connections, severed by FailLeader and Close
 
 	cFailovers  *obs.Counter // root.failovers
 	cLogEntries *obs.Counter // root.log_entries
@@ -58,7 +57,7 @@ func NewRootGroup(conf ManagerConfig, followers int, reg *obs.Registry) (*RootGr
 	g := &RootGroup{
 		conf:        conf,
 		leader:      leader,
-		conns:       make(map[Conn]bool),
+		served:      newConnSet("root group"),
 		cFailovers:  reg.Counter("root.failovers"),
 		cLogEntries: reg.Counter("root.log_entries"),
 		cReplayed:   reg.Counter("root.log_replayed"),
@@ -86,37 +85,12 @@ func (g *RootGroup) followerConf() ManagerConfig {
 // attached node) until it closes — the replicated analog of
 // Manager.Serve. Connections are tracked so a leader crash can sever them:
 // clients must re-dial and reach the promoted leader.
-func (g *RootGroup) Serve(conn Conn) error {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		_ = conn.Close()
-		return fmt.Errorf("community: root group is closed")
-	}
-	g.conns[conn] = true
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		_ = conn.Close()
-	}()
-	var sender string
-	for {
-		env, err := conn.Recv()
-		if err != nil {
-			return err
-		}
-		reply, err := g.handle(env, &sender)
-		if err != nil {
-			return err
-		}
-		reply.Token = env.Token // correlate; see Envelope.Token
-		if err := conn.Send(reply); err != nil {
-			return err
-		}
-	}
-}
+func (g *RootGroup) Serve(conn Conn) error { return g.endpoint().serve(conn) }
+
+// endpoint is the group as a transport sees it. handle resolves the
+// leader per envelope, so a connection keeps working across a failover
+// until the failover severs it.
+func (g *RootGroup) endpoint() endpoint { return endpoint{g.handle, g.served} }
 
 // handle applies one envelope to the leader and, on success, appends it to
 // the replay log and applies it to every follower (replies generated and
@@ -157,10 +131,7 @@ func (g *RootGroup) FailLeader() error {
 	g.leader = g.followers[0]
 	g.followers = g.followers[1:]
 	g.cFailovers.Inc()
-	for c := range g.conns {
-		_ = c.Close()
-	}
-	g.conns = make(map[Conn]bool)
+	g.served.sever(false)
 	f, err := g.rebuildLocked()
 	if err != nil {
 		return err
@@ -213,12 +184,6 @@ func (g *RootGroup) LogLen() int {
 
 // Close severs every live connection and stops accepting new ones.
 func (g *RootGroup) Close() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.closed = true
-	for c := range g.conns {
-		_ = c.Close()
-	}
-	g.conns = make(map[Conn]bool)
+	g.served.sever(true)
 	return nil
 }

@@ -1,276 +1,23 @@
+// Package sim is the scale entry to the community soak: Run drives the
+// campaign community.RunSoak drives — one rig, one serial schedule, the
+// same SoakReport — over synchronous loopback connections instead of
+// pipes with a serving goroutine each, and answers the executions of
+// members that share an input and directives from one memoized run. At
+// small populations a simulated campaign matches community.RunSoak byte
+// for byte (TestSimMatchesGoroutineSoak), and both match the reports
+// recorded in testdata (TestSoakReportGolden); at large populations it
+// reaches the paper's deployment scale (100k+ nodes) in seconds.
 package sim
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/community"
 
-	"repro/internal/community"
-	"repro/internal/obs"
-)
+// Report is a simulated campaign's outcome: the SoakReport plus the
+// schedule's step count and the execution memo's accounting.
+type Report = community.SimReport
 
-// Report is a simulated campaign's outcome: the live soak's SoakReport
-// — same fields, same meanings, so the differential oracle compares the
-// two wholesale — plus simulator-side accounting.
-type Report struct {
-	community.SoakReport
-
-	// Events is how many scheduler events fired.
-	Events int `json:"sim_events"`
-	// VirtualTime is the final virtual-clock reading, in abstract ticks.
-	VirtualTime int64 `json:"sim_virtual_time"`
-	// MemoHits counts executions answered from the execution memo;
-	// MemoMisses counts memo-eligible executions that ran genuinely and
-	// seeded an entry; GenuineRuns counts executions that were never
-	// memo-eligible (failure recorders, learning assignments).
-	MemoHits    int `json:"sim_memo_hits"`
-	MemoMisses  int `json:"sim_memo_misses"`
-	GenuineRuns int `json:"sim_genuine_runs"`
-}
-
-// Run simulates the soak campaign conf describes — the same validation,
-// defaults, topology, round structure, churn schedule, adversary
-// scripts, and stopping rule as community.RunSoak, producing an
-// identical SoakReport — as a discrete-event simulation: no goroutine
-// per node, no wall-clock sleeps, one scheduler walking modeled-node
-// state machines that feed real Manager/Aggregator/RootGroup instances
-// over loopback connections. The parallel soak shapes have no simulated
-// analog (the simulator IS the serial schedule) and are rejected.
+// Run simulates the soak campaign conf describes (see
+// community.SimulateSoak). The Parallel* soak shapes need real
+// concurrency and are rejected.
 func Run(conf community.SoakConfig) (*Report, error) {
-	if conf.ParallelMembers || conf.ParallelFlush {
-		return nil, fmt.Errorf("sim: the simulator is serial-equivalent by construction; Parallel* soak shapes have no simulated analog")
-	}
-	if conf.Image == nil {
-		return nil, fmt.Errorf("sim: soak needs an image")
-	}
-	if len(conf.Attacks) == 0 {
-		return nil, fmt.Errorf("sim: soak needs at least one attack")
-	}
-	if conf.Nodes <= 0 {
-		conf.Nodes = 100
-	}
-	if conf.Rounds <= 0 {
-		conf.Rounds = 8
-	}
-	if conf.Recorders <= 0 {
-		conf.Recorders = 1
-	}
-	if conf.Adversaries < 0 || conf.Adversaries >= conf.Nodes {
-		return nil, fmt.Errorf("sim: %d adversaries need a larger community than %d", conf.Adversaries, conf.Nodes)
-	}
-	if conf.Adversaries > 0 {
-		conf.VetReports = true
-	}
-	honest := conf.Nodes - conf.Adversaries
-	if conf.Recorders > honest {
-		conf.Recorders = honest
-	}
-	if conf.Aggregators < 0 || conf.Aggregators > conf.Nodes {
-		return nil, fmt.Errorf("sim: aggregator count %d out of range", conf.Aggregators)
-	}
-	if conf.Churn != nil && conf.Churn.AggregatorCrashRound > 0 && conf.Aggregators < 2 {
-		return nil, fmt.Errorf("sim: aggregator failover needs at least 2 aggregators")
-	}
-	if conf.Chaos != nil {
-		if conf.Chaos.PartitionEvery > 0 && conf.Chaos.PartitionLen >= conf.Chaos.PartitionEvery {
-			return nil, fmt.Errorf("sim: partition window %d must be shorter than its period %d",
-				conf.Chaos.PartitionLen, conf.Chaos.PartitionEvery)
-		}
-		if conf.Obs == nil {
-			conf.Obs = obs.New()
-		}
-	}
-	if conf.Churn != nil && conf.Churn.RootCrashRound > 0 && conf.RootReplicas < 1 {
-		return nil, fmt.Errorf("sim: root failover needs at least 1 root replica")
-	}
-	workers := conf.ReplayWorkers
-	if workers == 0 {
-		workers = -1
-	}
-
-	// Ground truth: which failure location each attack produces.
-	defects := make([]community.SoakDefect, len(conf.Attacks))
-	byPC := make(map[uint32]int, len(conf.Attacks))
-	for i, atk := range conf.Attacks {
-		pc, mon, err := community.ProbeFailurePC(conf.Image, atk.Input)
-		if err != nil {
-			return nil, fmt.Errorf("attack %s: %w", atk.Label, err)
-		}
-		if j, dup := byPC[pc]; dup {
-			return nil, fmt.Errorf("attacks %s and %s share failure location %#x",
-				conf.Attacks[j].Label, atk.Label, pc)
-		}
-		defects[i] = community.SoakDefect{Label: atk.Label, FailurePC: pc, Monitor: mon}
-		byPC[pc] = i
-	}
-
-	aggIDs := make([]string, conf.Aggregators)
-	for i := range aggIDs {
-		aggIDs[i] = fmt.Sprintf("agg%02d", i)
-	}
-	tr := obs.NewTracer(conf.Obs)
-	if conf.PprofLabels {
-		tr = tr.WithPprofLabels()
-	}
-	mgrConf := community.ManagerConfig{
-		Image:              conf.Image,
-		Seed:               conf.Seed,
-		BootstrapInputs:    conf.BootstrapInputs,
-		StackScope:         conf.StackScope,
-		CheckRuns:          conf.CheckRuns,
-		Bonus:              conf.Bonus,
-		ReplayWorkers:      workers,
-		VetReports:         conf.VetReports,
-		TrustedAggregators: aggIDs,
-		Obs:                tr,
-	}
-
-	retry := conf.Retry
-	if retry == nil && (conf.Chaos != nil ||
-		(conf.Churn != nil && conf.Churn.RootCrashRound > 0)) {
-		var seed int64
-		if conf.Chaos != nil {
-			seed = conf.Chaos.Seed
-		}
-		retry = community.DefaultRetry(seed)
-	}
-
-	rig := &simRig{
-		conf:    conf,
-		sched:   newScheduler(tr, conf.Obs),
-		defects: defects,
-		tr:      tr,
-		reg:     conf.Obs,
-		retry:   retry,
-		memo:    newExecMemo(conf.Obs),
-		report: &Report{SoakReport: community.SoakReport{
-			Nodes:       conf.Nodes,
-			Aggregators: conf.Aggregators,
-			Batched:     conf.Batched,
-		}},
-		cTurns:      conf.Obs.Counter("sim.turns"),
-		cDetections: conf.Obs.Counter("sim.detections"),
-	}
-	if conf.RootReplicas > 0 {
-		root, err := community.NewRootGroup(mgrConf, conf.RootReplicas, conf.Obs)
-		if err != nil {
-			return nil, err
-		}
-		rig.root = root
-	} else {
-		mgr, err := community.NewManager(mgrConf)
-		if err != nil {
-			return nil, err
-		}
-		rig.mgr = mgr
-	}
-	defer func() {
-		for _, m := range rig.members {
-			_ = m.n.Close()
-		}
-		for i, a := range rig.aggs {
-			if !rig.aggDead[i] {
-				_ = a.Close()
-			}
-		}
-		if rig.root != nil {
-			_ = rig.root.Close()
-		}
-	}()
-
-	// The aggregator tier.
-	for i := 0; i < conf.Aggregators; i++ {
-		upstream, err := rig.dialRoot()
-		if err != nil {
-			return nil, err
-		}
-		agg, err := community.NewAggregator(community.AggregatorConfig{
-			ID:         aggIDs[i],
-			Image:      conf.Image,
-			Upstream:   upstream,
-			FlushEvery: conf.FlushEvery,
-			VetReports: conf.VetReports,
-			Obs:        tr,
-			Retry:      retry,
-			Redial:     rig.dialRoot,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rig.aggs = append(rig.aggs, agg)
-		rig.aggDead = append(rig.aggDead, false)
-	}
-
-	// The population: honest members first (the leading Recorders of
-	// them capture failing runs), adversaries last — names, roles, and
-	// attachment order exactly as RunSoak builds them.
-	for i := 0; i < conf.Nodes; i++ {
-		m := &simMember{agg: -1}
-		if i < honest {
-			m.n = community.NewNode(fmt.Sprintf("node%04d", i), conf.Image, nil)
-			m.n.RecordFailures = i < conf.Recorders
-		} else {
-			adv := i - honest
-			m.adversary = true
-			m.forger = adv%2 == 1
-			m.advIndex = adv
-			m.n = community.NewNode(fmt.Sprintf("adv%03d", adv), conf.Image, nil)
-		}
-		m.n.Obs = tr
-		rig.enlist(m)
-		rig.members = append(rig.members, m)
-		agg := -1
-		if conf.Aggregators > 0 {
-			agg = i % conf.Aggregators
-		}
-		if err := rig.attach(m, agg); err != nil {
-			return nil, err
-		}
-	}
-
-	rig.scheduleRound(1)
-	if err := rig.sched.run(); err != nil {
-		return nil, err
-	}
-
-	report := rig.report
-	root := rig.rootMgr()
-	report.Messages = root.Messages()
-	report.Batches = root.Batches()
-	report.ReplayRuns = root.ReplayRuns()
-	quarantined := root.Quarantined()
-	for id := range quarantined {
-		report.Quarantined = append(report.Quarantined, id)
-	}
-	sort.Strings(report.Quarantined)
-	for _, by := range root.Adoptions() {
-		if _, q := quarantined[by]; q {
-			report.QuarantinedAdoptions++
-		}
-	}
-	if conf.Obs != nil {
-		report.Retries = int(conf.Obs.Counter("node.retries").Value() + conf.Obs.Counter("agg.retries").Value())
-		report.Reconnects = int(conf.Obs.Counter("node.reconnects").Value() + conf.Obs.Counter("agg.redials").Value())
-		report.DroppedEnvelopes = int(conf.Obs.Counter("chaos.dropped").Value())
-	}
-	if rig.root != nil {
-		report.ReplayLogEntries = rig.root.LogLen()
-	}
-	report.LearnInvariants = root.InvariantCount()
-	report.Converged = true
-	for i := range rig.defects {
-		if !rig.defects[i].Converged {
-			report.Converged = false
-		}
-	}
-	report.Defects = rig.defects
-	if conf.Obs != nil {
-		snap := conf.Obs.Snapshot()
-		report.Obs = &snap
-	}
-	report.Events = rig.sched.fired
-	report.VirtualTime = rig.sched.now
-	report.MemoHits = rig.memo.hits
-	report.MemoMisses = rig.memo.misses
-	report.GenuineRuns = rig.memo.genuine
-	return report, nil
+	return community.SimulateSoak(conf)
 }

@@ -57,6 +57,6 @@ func TestSimSoak100kNodes(t *testing.T) {
 	if elapsed > 60*time.Second {
 		t.Fatalf("100k-node simulation took %v, budget is 60s", elapsed)
 	}
-	t.Logf("100k nodes: %d events, %v wall clock, %d envelopes at the manager (flat floor %d), %d memo hits / %d genuine runs",
+	t.Logf("100k nodes: %d schedule steps, %v wall clock, %d envelopes at the manager (flat floor %d), %d memo hits / %d genuine runs",
 		rep.Events, elapsed.Round(time.Millisecond), rep.Messages, flatFloor, rep.MemoHits, rep.GenuineRuns)
 }

@@ -260,7 +260,7 @@ func repairSpecID(spec *RepairSpec) string {
 	return r.ID()
 }
 
-// soakMember is one simulated community member and its soak-side role.
+// soakMember is one community member and its soak-side role.
 type soakMember struct {
 	n   *Node
 	agg int // attached aggregator index; -1 = direct to the manager
@@ -274,11 +274,16 @@ type soakMember struct {
 	crashed   bool
 }
 
-// soakRig is the assembled community: one root (a single manager, or a
+// soakRig is the assembled community — one root (a single manager, or a
 // replicated RootGroup), an optional aggregator tier, and the member
-// population.
+// population — and the campaign schedule that drives it. Both entry
+// points run this one rig; they differ only in the transport connecting
+// clients to tiers and in whether executions go through a memo.
 type soakRig struct {
 	conf    SoakConfig
+	connect func(endpoint) Conn // the transport: pipeTransport or loopback
+	memo    *execMemo           // handed to every member; nil runs every execution for real
+	defects []SoakDefect
 	mgr     *Manager   // the unreplicated root (nil when root is set)
 	root    *RootGroup // the replicated root (nil when mgr is set)
 	aggs    []*Aggregator
@@ -292,117 +297,18 @@ type soakRig struct {
 	crashCursor int
 	joinSeq     int
 	connSeq     int64 // FaultConn stream numbers (atomic)
+
+	// steps counts the schedule's steps: member turns, aggregator flushes
+	// and convergence checks. A simulated soak meters them as sim.events,
+	// and its member turns as sim.turns; RunSoak leaves both counters nil.
+	steps  int
+	cSteps *obs.Counter
+	cTurns *obs.Counter
 }
 
-// rootMgr is the manager the soak's accounting and convergence checks
-// read: the group's current leader, or the single manager.
-func (r *soakRig) rootMgr() *Manager {
-	if r.root != nil {
-		return r.root.Leader()
-	}
-	return r.mgr
-}
-
-// serveRoot spawns a serving goroutine for one root-side connection.
-func (r *soakRig) serveRoot(conn Conn) {
-	if r.root != nil {
-		go func() { _ = r.root.Serve(conn) }()
-	} else {
-		go func() { _ = r.mgr.Serve(conn) }()
-	}
-}
-
-// wrap injects the chaos schedule into one client-side connection (a
-// no-op without Chaos). Each connection gets its own stream number, so
-// reconnects draw fresh — but still seed-determined — fault schedules.
-func (r *soakRig) wrap(c Conn) Conn {
-	if r.conf.Chaos == nil {
-		return c
-	}
-	fc, err := NewFaultConn(c, r.conf.Chaos, atomic.AddInt64(&r.connSeq, 1), r.reg)
-	if err != nil {
-		return c // config was validated up front; unreachable
-	}
-	return fc
-}
-
-// dialRoot opens a fresh client connection to the root — the soak's
-// "dial the manager" — through the chaos wrapper when armed. It is both
-// the initial upstream dial and the aggregators' Redial path, which is
-// how a re-dial lands on the promoted leader after a root failover.
-func (r *soakRig) dialRoot() (Conn, error) {
-	upSide, rootSide := Pipe()
-	r.serveRoot(rootSide)
-	return r.wrap(upSide), nil
-}
-
-// attach connects (or re-connects) a member to serving infrastructure:
-// aggregator agg, or the root when agg < 0.
-func (r *soakRig) attach(m *soakMember, agg int) error {
-	nodeSide, serveSide := Pipe()
-	if agg >= 0 {
-		go func() { _ = r.aggs[agg].Serve(serveSide) }()
-	} else {
-		r.serveRoot(serveSide)
-	}
-	m.agg = agg
-	return m.n.Attach(r.wrap(nodeSide))
-}
-
-// redialMember is a member's retry-path redial: a fresh connection to its
-// current home — or, when that home aggregator has died, to the next
-// alive sibling (the retry-path mirror of churn's explicit failover).
-func (r *soakRig) redialMember(m *soakMember) (Conn, error) {
-	agg := m.agg
-	if agg >= 0 && (agg >= len(r.aggs) || r.aggDead[agg]) {
-		agg = r.nextAliveAgg(agg)
-		m.agg = agg
-	}
-	nodeSide, serveSide := Pipe()
-	if agg >= 0 {
-		go func() { _ = r.aggs[agg].Serve(serveSide) }()
-	} else {
-		r.serveRoot(serveSide)
-	}
-	return r.wrap(nodeSide), nil
-}
-
-// enlist arms a member's resilience when the soak runs one of the
-// fault-tolerant shapes.
-func (r *soakRig) enlist(m *soakMember) {
-	if r.retry == nil {
-		return
-	}
-	m.n.EnableResilience(r.retry, func() (Conn, error) { return r.redialMember(m) }, r.reg)
-}
-
-// nextAliveAgg picks the aggregator a re-attaching member fails over to:
-// the next alive sibling after the one it crashed under (or the same one,
-// when it is the only survivor). Returns -1 in flat topology.
-func (r *soakRig) nextAliveAgg(after int) int {
-	if len(r.aggs) == 0 {
-		return -1
-	}
-	for i := 1; i <= len(r.aggs); i++ {
-		cand := (after + i) % len(r.aggs)
-		if !r.aggDead[cand] {
-			return cand
-		}
-	}
-	return -1
-}
-
-// RunSoak simulates a community of Nodes node managers sharing one
-// manager over in-process transports — flat, or through an aggregator
-// tier. Each round, every alive node presents every attack (plus a
-// rotating benign input) and reports — batched or per message; the
-// aggregators then flush their compacted batches upstream. After each
-// round the soak syncs every eligible node and checks convergence: the
-// manager holds an adopted repair for every defect and every eligible
-// node's directives carry the same repair. Nodes run sequentially in a
-// fixed order and churn follows a fixed schedule, so a soak is
-// deterministic for a fixed config.
-func RunSoak(conf SoakConfig) (*SoakReport, error) {
+// newSoakRig validates conf, fills its defaults, probes each attack's
+// failure location, and builds the root; run builds the rest.
+func newSoakRig(conf SoakConfig, connect func(endpoint) Conn) (*soakRig, error) {
 	if conf.Image == nil {
 		return nil, fmt.Errorf("community: soak needs an image")
 	}
@@ -424,8 +330,7 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 	if conf.Adversaries > 0 {
 		conf.VetReports = true
 	}
-	honest := conf.Nodes - conf.Adversaries
-	if conf.Recorders > honest {
+	if honest := conf.Nodes - conf.Adversaries; conf.Recorders > honest {
 		conf.Recorders = honest
 	}
 	if conf.Aggregators < 0 || conf.Aggregators > conf.Nodes {
@@ -469,30 +374,10 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 		byPC[pc] = i
 	}
 
-	// Name the aggregator tier up front: under VetReports the manager
-	// only accepts aggregated batches from this provisioned list, so an
-	// adversarial member cannot impersonate an aggregator.
-	aggIDs := make([]string, conf.Aggregators)
-	for i := range aggIDs {
-		aggIDs[i] = fmt.Sprintf("agg%02d", i)
-	}
 	tr := obs.NewTracer(conf.Obs)
 	if conf.PprofLabels {
 		tr = tr.WithPprofLabels()
 	}
-	mgrConf := ManagerConfig{
-		Image:              conf.Image,
-		Seed:               conf.Seed,
-		BootstrapInputs:    conf.BootstrapInputs,
-		StackScope:         conf.StackScope,
-		CheckRuns:          conf.CheckRuns,
-		Bonus:              conf.Bonus,
-		ReplayWorkers:      workers,
-		VetReports:         conf.VetReports,
-		TrustedAggregators: aggIDs,
-		Obs:                tr,
-	}
-
 	// Resilience is armed by chaos, and also by a root-crash schedule on
 	// its own: the crash severs every root connection, and only the retry
 	// path's re-dial reaches the promoted leader.
@@ -505,97 +390,289 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 		}
 		retry = DefaultRetry(seed)
 	}
-
-	rig := &soakRig{
-		conf:  conf,
-		tr:    tr,
-		reg:   conf.Obs,
-		retry: retry,
+	r := &soakRig{
+		conf:    conf,
+		connect: connect,
+		defects: defects,
+		tr:      tr,
+		reg:     conf.Obs,
+		retry:   retry,
 		report: &SoakReport{
 			Nodes:       conf.Nodes,
 			Aggregators: conf.Aggregators,
 			Batched:     conf.Batched,
 		},
 	}
-	if conf.RootReplicas > 0 {
-		root, err := NewRootGroup(mgrConf, conf.RootReplicas, conf.Obs)
-		if err != nil {
-			return nil, err
-		}
-		rig.root = root
-	} else {
-		mgr, err := NewManager(mgrConf)
-		if err != nil {
-			return nil, err
-		}
-		rig.mgr = mgr
-	}
-	defer func() {
-		for _, m := range rig.members {
-			_ = m.n.Close()
-		}
-		for i, a := range rig.aggs {
-			if !rig.aggDead[i] {
-				_ = a.Close()
-			}
-		}
-		if rig.root != nil {
-			_ = rig.root.Close()
-		}
-	}()
 
-	// The aggregator tier.
-	for i := 0; i < conf.Aggregators; i++ {
-		upstream, err := rig.dialRoot()
+	mgrConf := ManagerConfig{
+		Image:              conf.Image,
+		Seed:               conf.Seed,
+		BootstrapInputs:    conf.BootstrapInputs,
+		StackScope:         conf.StackScope,
+		CheckRuns:          conf.CheckRuns,
+		Bonus:              conf.Bonus,
+		ReplayWorkers:      workers,
+		VetReports:         conf.VetReports,
+		TrustedAggregators: r.aggIDs(),
+		Obs:                tr,
+	}
+	var err error
+	if conf.RootReplicas > 0 {
+		r.root, err = NewRootGroup(mgrConf, conf.RootReplicas, conf.Obs)
+	} else {
+		r.mgr, err = NewManager(mgrConf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// aggIDs names the aggregator tier. The names are fixed up front: under
+// VetReports the manager only accepts aggregated batches from this
+// provisioned list, so an adversarial member cannot impersonate an
+// aggregator.
+func (r *soakRig) aggIDs() []string {
+	ids := make([]string, r.conf.Aggregators)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("agg%02d", i)
+	}
+	return ids
+}
+
+// close tears the community down: every member connection, every
+// surviving aggregator, and the replicated root's connections.
+func (r *soakRig) close() {
+	for _, m := range r.members {
+		_ = m.n.Close()
+	}
+	for i, a := range r.aggs {
+		if !r.aggDead[i] {
+			_ = a.Close()
+		}
+	}
+	if r.root != nil {
+		_ = r.root.Close()
+	}
+}
+
+// rootMgr is the manager the soak's accounting and convergence checks
+// read: the group's current leader, or the single manager.
+func (r *soakRig) rootMgr() *Manager {
+	if r.root != nil {
+		return r.root.Leader()
+	}
+	return r.mgr
+}
+
+// home is the tier a client attached to aggregator agg connects to: that
+// aggregator, or the root when agg < 0.
+func (r *soakRig) home(agg int) endpoint {
+	switch {
+	case agg >= 0:
+		return r.aggs[agg].endpoint()
+	case r.root != nil:
+		return r.root.endpoint()
+	}
+	return r.mgr.endpoint()
+}
+
+// dial opens a fresh client connection to the tier at home(agg), through
+// the chaos wrapper when armed. Each connection gets its own stream
+// number, so reconnects draw fresh — but still seed-determined — fault
+// schedules.
+func (r *soakRig) dial(agg int) Conn {
+	c := r.connect(r.home(agg))
+	if r.conf.Chaos == nil {
+		return c
+	}
+	fc, err := NewFaultConn(c, r.conf.Chaos, atomic.AddInt64(&r.connSeq, 1), r.reg)
+	if err != nil {
+		return c // config was validated up front; unreachable
+	}
+	return fc
+}
+
+// dialRoot is the aggregators' upstream dial and their Redial path,
+// which is how a re-dial lands on the promoted leader after a root
+// failover.
+func (r *soakRig) dialRoot() (Conn, error) { return r.dial(-1), nil }
+
+// attach connects (or re-connects) a member to aggregator agg, or to the
+// root when agg < 0.
+func (r *soakRig) attach(m *soakMember, agg int) error {
+	conn := r.dial(agg)
+	m.agg = agg
+	return m.n.Attach(conn)
+}
+
+// redialMember is a member's retry-path redial: a fresh connection to its
+// current home — or, when that home aggregator has died, to the next
+// alive sibling (the retry-path mirror of churn's explicit failover).
+func (r *soakRig) redialMember(m *soakMember) (Conn, error) {
+	if m.agg >= 0 && (m.agg >= len(r.aggs) || r.aggDead[m.agg]) {
+		m.agg = r.nextAliveAgg(m.agg)
+	}
+	return r.dial(m.agg), nil
+}
+
+// newMember creates a member node: traced, memoized, and resilient when
+// the soak runs one of the fault-tolerant shapes.
+func (r *soakRig) newMember(id string) *soakMember {
+	m := &soakMember{n: NewNode(id, r.conf.Image, nil), agg: -1}
+	m.n.Obs = r.tr
+	m.n.memo = r.memo
+	if r.retry != nil {
+		m.n.EnableResilience(r.retry, func() (Conn, error) { return r.redialMember(m) }, r.reg)
+	}
+	return m
+}
+
+// nextAliveAgg picks the aggregator a re-attaching member fails over to:
+// the next alive sibling after the one it crashed under (or the same one,
+// when it is the only survivor). Returns -1 in flat topology.
+func (r *soakRig) nextAliveAgg(after int) int {
+	if len(r.aggs) == 0 {
+		return -1
+	}
+	for i := 1; i <= len(r.aggs); i++ {
+		cand := (after + i) % len(r.aggs)
+		if !r.aggDead[cand] {
+			return cand
+		}
+	}
+	return -1
+}
+
+// step counts one step of the schedule.
+func (r *soakRig) step() {
+	r.steps++
+	r.cSteps.Inc()
+}
+
+// RunSoak simulates a community of Nodes node managers sharing one
+// manager over in-process pipes, one serving goroutine per connection —
+// flat, or through an aggregator tier. Each round, every alive node
+// presents every attack (plus a rotating benign input) and reports —
+// batched or per message; the aggregators then flush their compacted
+// batches upstream. After each round the soak syncs every eligible node
+// and checks convergence: the manager holds an adopted repair for every
+// defect and every eligible node's directives carry the same repair.
+// Nodes run sequentially in a fixed order and churn follows a fixed
+// schedule, so a soak is deterministic for a fixed config.
+func RunSoak(conf SoakConfig) (*SoakReport, error) {
+	r, err := newSoakRig(conf, pipeTransport)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	return r.run()
+}
+
+// SimReport is a simulated soak's outcome: the SoakReport RunSoak would
+// produce for the same config, plus the simulation's own accounting.
+type SimReport struct {
+	SoakReport
+
+	// Events counts the schedule's steps: member turns, aggregator
+	// flushes and convergence checks.
+	Events int `json:"sim_events"`
+	// MemoHits counts executions answered from the execution memo.
+	MemoHits int `json:"sim_memo_hits"`
+	// MemoMisses counts memo-eligible executions that ran genuinely and
+	// seeded an entry.
+	MemoMisses int `json:"sim_memo_misses"`
+	// GenuineRuns counts executions that were never memo-eligible
+	// (failure recorders, learning assignments).
+	GenuineRuns int `json:"sim_genuine_runs"`
+}
+
+// SimulateSoak runs RunSoak's campaign — the same rig and schedule,
+// producing the same SoakReport — without a goroutine per connection:
+// each client reaches its tier through a synchronous loopback that
+// answers every envelope inline, and members that run the same input
+// under the same directives share one execution through a memo. That is
+// the shape for 100k nodes and beyond. The Parallel* shapes need real
+// concurrency and are rejected.
+func SimulateSoak(conf SoakConfig) (*SimReport, error) {
+	if conf.ParallelMembers || conf.ParallelFlush {
+		return nil, fmt.Errorf("community: a simulated soak is serial; the Parallel* shapes need real concurrency")
+	}
+	r, err := newSoakRig(conf, loopback)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	r.memo = newExecMemo(r.reg)
+	r.cSteps = r.reg.Counter("sim.events")
+	r.cTurns = r.reg.Counter("sim.turns")
+	rep, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	return &SimReport{
+		SoakReport:  *rep,
+		Events:      r.steps,
+		MemoHits:    r.memo.hits,
+		MemoMisses:  r.memo.misses,
+		GenuineRuns: r.memo.genuine,
+	}, nil
+}
+
+// run builds the aggregator tier and the population, plays the rounds,
+// and assembles the report.
+func (r *soakRig) run() (*SoakReport, error) {
+	conf := r.conf
+	for _, id := range r.aggIDs() {
+		upstream, err := r.dialRoot()
 		if err != nil {
 			return nil, err
 		}
 		agg, err := NewAggregator(AggregatorConfig{
-			ID:         aggIDs[i],
+			ID:         id,
 			Image:      conf.Image,
 			Upstream:   upstream,
 			FlushEvery: conf.FlushEvery,
 			VetReports: conf.VetReports,
-			Obs:        tr,
-			Retry:      retry,
-			Redial:     rig.dialRoot,
+			Obs:        r.tr,
+			Retry:      r.retry,
+			Redial:     r.dialRoot,
 		})
 		if err != nil {
 			return nil, err
 		}
-		rig.aggs = append(rig.aggs, agg)
-		rig.aggDead = append(rig.aggDead, false)
+		r.aggs = append(r.aggs, agg)
+		r.aggDead = append(r.aggDead, false)
 	}
 
 	// The population: honest members first (the leading Recorders of them
 	// capture failing runs), adversaries last.
+	honest := conf.Nodes - conf.Adversaries
 	for i := 0; i < conf.Nodes; i++ {
-		m := &soakMember{agg: -1}
+		var m *soakMember
 		if i < honest {
-			m.n = NewNode(fmt.Sprintf("node%04d", i), conf.Image, nil)
+			m = r.newMember(fmt.Sprintf("node%04d", i))
 			m.n.RecordFailures = i < conf.Recorders
 		} else {
 			adv := i - honest
+			m = r.newMember(fmt.Sprintf("adv%03d", adv))
 			m.adversary = true
 			m.forger = adv%2 == 1
 			m.advIndex = adv
-			m.n = NewNode(fmt.Sprintf("adv%03d", adv), conf.Image, nil)
 		}
-		m.n.Obs = tr
-		rig.enlist(m)
-		rig.members = append(rig.members, m)
+		r.members = append(r.members, m)
 		agg := -1
 		if conf.Aggregators > 0 {
 			agg = i % conf.Aggregators
 		}
-		if err := rig.attach(m, agg); err != nil {
+		if err := r.attach(m, agg); err != nil {
 			return nil, err
 		}
 	}
 
-	report := rig.report
+	report := r.report
 	for round := 1; round <= conf.Rounds; round++ {
-		if err := rig.churnStep(round); err != nil {
+		if err := r.churnStep(round); err != nil {
 			return nil, err
 		}
 
@@ -611,15 +688,17 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 			// once, so the aggregators and manager see the arrival
 			// concurrency a real deployment produces.
 			var wg sync.WaitGroup
-			errs := make([]error, len(rig.members))
-			for i, m := range rig.members {
+			errs := make([]error, len(r.members))
+			for i, m := range r.members {
 				if m.crashed {
 					continue
 				}
+				r.step()
+				r.cTurns.Inc()
 				wg.Add(1)
 				go func(i int, m *soakMember) {
 					defer wg.Done()
-					errs[i] = rig.memberTurn(m, inputs)
+					errs[i] = r.memberTurn(m, inputs)
 				}(i, m)
 			}
 			wg.Wait()
@@ -629,20 +708,23 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 				}
 			}
 		} else {
-			for _, m := range rig.members {
+			for _, m := range r.members {
 				if m.crashed {
 					continue
 				}
-				if err := rig.memberTurn(m, inputs); err != nil {
+				r.step()
+				r.cTurns.Inc()
+				if err := r.memberTurn(m, inputs); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if conf.ParallelFlush {
 			var wg sync.WaitGroup
-			errs := make([]error, len(rig.aggs))
-			for i, a := range rig.aggs {
-				if !rig.aggDead[i] {
+			errs := make([]error, len(r.aggs))
+			for i, a := range r.aggs {
+				if !r.aggDead[i] {
+					r.step()
 					wg.Add(1)
 					go func(i int, a *Aggregator) {
 						defer wg.Done()
@@ -657,8 +739,9 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 				}
 			}
 		} else {
-			for i, a := range rig.aggs {
-				if !rig.aggDead[i] {
+			for i, a := range r.aggs {
+				if !r.aggDead[i] {
+					r.step()
 					if err := a.Flush(); err != nil {
 						return nil, err
 					}
@@ -671,12 +754,13 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 		// be reached, it must hold while nodes crash, rejoin, and join
 		// and aggregators fail over. Without churn the population is
 		// static and the first full agreement is final.
-		if rig.converged(defects, round) && conf.Churn == nil {
+		r.step()
+		if r.converged(round) && conf.Churn == nil {
 			break
 		}
 	}
 
-	root := rig.rootMgr()
+	root := r.rootMgr()
 	report.Messages = root.Messages()
 	report.Batches = root.Batches()
 	report.ReplayRuns = root.ReplayRuns()
@@ -695,17 +779,17 @@ func RunSoak(conf SoakConfig) (*SoakReport, error) {
 		report.Reconnects = int(conf.Obs.Counter("node.reconnects").Value() + conf.Obs.Counter("agg.redials").Value())
 		report.DroppedEnvelopes = int(conf.Obs.Counter("chaos.dropped").Value())
 	}
-	if rig.root != nil {
-		report.ReplayLogEntries = rig.root.LogLen()
+	if r.root != nil {
+		report.ReplayLogEntries = r.root.LogLen()
 	}
 	report.LearnInvariants = root.InvariantCount()
 	report.Converged = true
-	for i := range defects {
-		if !defects[i].Converged {
+	for i := range r.defects {
+		if !r.defects[i].Converged {
 			report.Converged = false
 		}
 	}
-	report.Defects = defects
+	report.Defects = r.defects
 	if conf.Obs != nil {
 		snap := conf.Obs.Snapshot()
 		report.Obs = &snap
@@ -794,9 +878,7 @@ func (r *soakRig) churnStep(round int) error {
 	}
 
 	for i := 0; i < churn.JoinPerRound; i++ {
-		m := &soakMember{n: NewNode(fmt.Sprintf("join%03d", r.joinSeq), r.conf.Image, nil)}
-		m.n.Obs = r.tr
-		r.enlist(m)
+		m := r.newMember(fmt.Sprintf("join%03d", r.joinSeq))
 		r.joinSeq++
 		agg := -1
 		if len(r.aggs) > 0 {
@@ -914,7 +996,7 @@ func (r *soakRig) sendForgedRecording(n *Node, advIndex int) error {
 // repair. Eligible means alive, honest, and not quarantined: crashed
 // nodes re-attach and catch up next round, and quarantined nodes are
 // outside the trust boundary by definition.
-func (r *soakRig) converged(defects []SoakDefect, round int) bool {
+func (r *soakRig) converged(round int) bool {
 	root := r.rootMgr()
 	states := root.CaseStates()
 	quarantined := root.Quarantined()
@@ -966,8 +1048,8 @@ func (r *soakRig) converged(defects []SoakDefect, round int) bool {
 	}
 
 	all := true
-	for i := range defects {
-		d := &defects[i]
+	for i := range r.defects {
+		d := &r.defects[i]
 		if states[d.FailurePC] != core.StatePatched {
 			d.Converged = false
 			all = false

@@ -75,6 +75,14 @@ func Pipe() (Conn, Conn) {
 }
 
 func (c *pipeConn) Send(e Envelope) error {
+	// The close is checked first: select picks among ready cases at
+	// random, so with buffer room a send after Close would succeed about
+	// half the time, into a buffer nobody reads.
+	select {
+	case <-c.shared.done:
+		return fmt.Errorf("community: send on closed pipe")
+	default:
+	}
 	select {
 	case <-c.shared.done:
 		return fmt.Errorf("community: send on closed pipe")

@@ -162,10 +162,10 @@ func Registry() *Suite {
 			// nodes across per-message / batched / hierarchical modes.
 			{Name: "BenchmarkCommunitySoak", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Info: []string{"msgs", "replays"}},
-			// The discrete-event simulator arm: scheduler + wire-cache
-			// cost for a 2k-node hierarchical campaign with churn and
-			// adversaries (the counts are deterministic; timing is the
-			// tracked surface).
+			// The simulated soak arm: handler + wire-cache cost for a
+			// 2k-node hierarchical campaign with churn and adversaries
+			// (the counts are deterministic; timing is the tracked
+			// surface).
 			{Name: "BenchmarkSimSoak", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Info: []string{"events", "msgs", "memo-hits"}},
 		},
