@@ -31,7 +31,7 @@ type ChaosConfig struct {
 	MaxDelay time.Duration
 	// Duplicate delivers an envelope twice. On a request/response
 	// protocol the stray reply desynchronizes the channel; the client must
-	// detect the stale reply and reconnect-and-resync.
+	// detect the stale reply by its token and drain it.
 	Duplicate float64
 	// Disconnect delivers the envelope, then tears the connection down
 	// mid-flush and reports a send error — the ambiguous failure where the

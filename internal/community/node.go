@@ -61,16 +61,24 @@ func NewNode(id string, img *image.Image, conn Conn) *Node {
 	return &Node{ID: id, Image: img, conn: conn, engine: daikon.NewEngine()}
 }
 
-// EnableResilience arms the retry/backoff/reconnect path: every round trip
+// EnableResilience arms the retry/backoff/reconnect path. Every round trip
 // runs under the policy's receive timeout and is retried with exponential
-// backoff and seeded jitter; between attempts the node re-dials a fresh
-// connection (redial; nil falls back to failing in place) and re-registers
-// with a Hello, so its registration and directive cache survive the
-// reconnect. Non-idempotent requests (reports, batches, recordings) are
-// never re-sent once a send has succeeded — the peer may already have
-// applied them — so community counts stay exact at the cost of at-most-once
-// delivery under faults. reg (nil ok) receives the node.retries and
-// node.reconnects counters.
+// backoff and seeded jitter, on two budgets (see roundTripResilient):
+//
+//   - A receive that times out after a successful send resyncs in place:
+//     the node sends a Hello on the same connection, where the slow reply
+//     may still arrive. These retries draw on the policy's TimeoutAttempts.
+//   - A send error, a dead wire or a failed re-dial reconnects: the node
+//     re-dials a fresh connection (redial; nil retries in place) and
+//     re-registers with a Hello, so its registration and directive cache
+//     survive the reconnect. These retries draw on MaxAttempts.
+//
+// Non-idempotent requests (reports, batches, recordings, learning uploads)
+// are never re-sent once a send has succeeded — the peer may already have
+// applied them — so community counts stay exact at the cost of
+// at-most-once delivery under faults: every later attempt is a Hello
+// resync. reg (nil ok) receives the node.retries and node.reconnects
+// counters.
 func (n *Node) EnableResilience(p *RetryPolicy, redial func() (Conn, error), reg *obs.Registry) {
 	n.rt = newRetrier(p, n.ID)
 	n.redial = redial
@@ -183,26 +191,65 @@ func (n *Node) roundTripOnce(sp *obs.Span, env Envelope) (sent bool, err error) 
 	return true, fmt.Errorf("community: unexpected reply %v", reply.Kind)
 }
 
-// roundTripResilient drives roundTripOnce under the retry policy: backoff
-// with seeded jitter between attempts, a reconnect-and-resync (fresh
-// connection + Hello re-registration) before each retry, and at-most-once
-// delivery for non-idempotent payloads — once a send has succeeded, the
-// request is never sent again; the reconnect's Hello refreshes the
-// directives and the payload is surrendered to the fault.
+// roundTripResilient drives roundTripOnce under the retry policy, with
+// seeded-jitter backoff between attempts. Each failure is charged to the
+// budget that matches what it says about the connection:
+//
+//   - A receive timeout after a successful send means the wire is healthy
+//     and the reply is lost or slow behind a busy upstream. It draws on
+//     RetryPolicy.TimeoutAttempts, and the node resyncs in place: it sends
+//     a Hello on the same connection, which a slow reply is still riding
+//     on. A Hello re-sent in place keeps its token, so a late reply to any
+//     copy completes the resync.
+//   - A send error, a receive that fails for any other reason (a dead
+//     wire, a bad reply), or a failed re-dial is a hard failure. It draws
+//     on MaxAttempts, and the node re-dials a fresh connection (without a
+//     redial path it retries in place) and re-registers over it with a
+//     Hello before it sends anything else.
+//
+// A non-idempotent request (report, batch, recording, learning upload) is
+// delivered at most once. Once one send of it has succeeded, the peer may
+// already have applied it, so it is surrendered to the fault: every later
+// attempt is a Hello resync, stamped with a fresh token so roundTripOnce
+// drains the request's late reply by its stale one, and the round trip
+// succeeds when a resync refreshes the directives, which is all the
+// campaign needs to continue. Any other request — a Hello, or one whose
+// sends all failed — follows the re-registration Hello on a new
+// connection.
 func (n *Node) roundTripResilient(sp *obs.Span, env Envelope) error {
 	env.Token = n.nextToken()
-	sentOnce := false
+	req := env
+	surrendered := false // req was sent once and may not be sent again
+	owed := false        // env is a re-registration Hello that req must follow
+	redial := false      // a hard failure condemned the connection
 	var lastErr error
 	hard, slow := 0, 0
 	for {
-		sent, err := n.roundTripOnce(sp, env)
-		if err == nil {
-			return nil
+		var sent bool
+		var err error
+		if redial {
+			err = n.reconnect()
+		} else {
+			sent, err = n.roundTripOnce(sp, env)
 		}
-		sentOnce = sentOnce || sent
+		if err == nil {
+			switch {
+			case redial:
+				redial = false
+				if env, err = n.resyncEnvelope(); err != nil {
+					return err
+				}
+				owed = !surrendered
+			case owed:
+				env, owed = req, false
+			default:
+				return nil
+			}
+			continue
+		}
 		lastErr = err
-		inPlace := sent && IsTimeout(err) && env.Kind == MsgHello
-		if inPlace {
+		timedOut := sent && IsTimeout(err)
+		if timedOut {
 			slow++
 		} else {
 			hard++
@@ -212,37 +259,33 @@ func (n *Node) roundTripResilient(sp *obs.Span, env Envelope) error {
 		}
 		n.cRetries.Inc()
 		n.rt.sleep(hard)
-		if inPlace {
-			// A Hello (registration or sync) is idempotent and the wire is
-			// healthy — the reply is lost or just slow behind a busy
-			// upstream. Re-send in place; reconnecting would abandon the
-			// connection a slow reply is still riding on.
-			continue
-		}
-		if rerr := n.reconnect(sp); rerr != nil {
-			lastErr = rerr
-			continue
-		}
-		if sentOnce && env.Kind != MsgHello {
+		if sent && env.Kind != MsgHello {
 			// The request may already have been applied upstream;
-			// re-sending it would double-count this node's runs. The
-			// reconnect re-registered the node and refreshed its
-			// directives, which is all the campaign needs to continue.
-			return nil
+			// re-sending it would double-count this node's runs.
+			surrendered = true
+			if env, err = n.resyncEnvelope(); err != nil {
+				return err
+			}
 		}
+		redial = !timedOut && n.redial != nil
 	}
 	return fmt.Errorf("community: node %s: round trip failed after %d attempts: %w",
 		n.ID, hard+slow, lastErr)
 }
 
-// reconnect re-dials a fresh connection and re-registers over it — the
-// resync half of retry: the upstream (a sibling aggregator or the manager
-// itself) re-learns the member, and the Hello's reply refreshes the
-// directive cache, so protection survives the reconnect.
-func (n *Node) reconnect(sp *obs.Span) error {
-	if n.redial == nil {
-		return fmt.Errorf("community: node %s: no redial path", n.ID)
-	}
+// resyncEnvelope stamps a Hello under a fresh token: the resync that
+// re-registers the node upstream (a sibling aggregator or the manager
+// itself re-learns the member) and whose reply refreshes the directive
+// cache, so protection survives a lost reply or a reconnect.
+func (n *Node) resyncEnvelope() (Envelope, error) {
+	env, err := helloEnvelope(n.ID)
+	env.Token = n.nextToken()
+	return env, err
+}
+
+// reconnect replaces the node's connection with a freshly dialed one; the
+// retry loop re-registers over it before sending anything else.
+func (n *Node) reconnect() error {
 	conn, err := n.redial()
 	if err != nil {
 		return err
@@ -253,13 +296,7 @@ func (n *Node) reconnect(sp *obs.Span) error {
 	n.conn = conn
 	n.applyRecvTimeout()
 	n.cReconnects.Inc()
-	henv, err := helloEnvelope(n.ID)
-	if err != nil {
-		return err
-	}
-	henv.Token = n.nextToken()
-	_, err = n.roundTripOnce(sp, henv)
-	return err
+	return nil
 }
 
 // Directives returns the node's current instruction set (for tests).

@@ -21,9 +21,10 @@ type RetryPolicy struct {
 	// TimeoutAttempts bounds the TOTAL attempts when receives keep timing
 	// out on a healthy connection (default 8x MaxAttempts). A slow upstream
 	// — a root applying a large flush behind the replication lock — needs
-	// patience, not reconnection: the client re-sends in place (duplicates
-	// are deduplicated upstream) and the budget for that is much larger
-	// than for hard failures.
+	// patience, not reconnection: the client retries in place, and the
+	// budget for that is much larger than for hard failures. An
+	// aggregator re-sends its numbered flush, which the manager applies at
+	// most once; a node resyncs with a Hello and never re-sends a report.
 	TimeoutAttempts int
 	// BaseDelay is the backoff before the first retry (default 1ms); each
 	// further retry doubles it.
