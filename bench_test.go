@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/correlate"
 	"repro/internal/daikon"
-	"repro/internal/monitor"
 	"repro/internal/redteam"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -37,6 +36,15 @@ func sharedSetups(b *testing.B) (*redteam.Setup, *redteam.Setup) {
 		setupDefault, setupErr = redteam.NewSetup(false)
 		if setupErr == nil {
 			setupExpanded, setupErr = redteam.NewSetup(true)
+		}
+		if setupErr == nil {
+			// Build each database's per-PC index, which the first query
+			// builds lazily, now: it is a one-time cost of the shared
+			// set-up (~16k allocations), and at a one-iteration benchtime
+			// the first campaign on each database would pay it inside its
+			// timed sample.
+			setupDefault.DB.At(0)
+			setupExpanded.DB.At(0)
 		}
 	})
 	if setupErr != nil {
@@ -113,68 +121,39 @@ func BenchmarkTable3(b *testing.B) {
 }
 
 // BenchmarkTable2 regenerates Table 2: the 57-evaluation-page load under
-// each monitor configuration. Compare ns/op across sub-benchmarks for the
-// overhead ratios; the deterministic hook-runs metric carries the same
-// ordering (bare < MF < MF+SS < MF+HG < MF+HG+SS) without timer noise.
+// each of redteam.Table2Configs' seven rows, the same rows cmd/overhead
+// prints. The last row's repair comes from a 290162 campaign run before
+// any timer starts. Compare ns/op across sub-benchmarks for the overhead
+// ratios; the deterministic hook-runs metric carries the same ordering
+// without timer noise, and allocs/op and B/op are what a per-machine
+// structure that grows with the page shows up in.
 func BenchmarkTable2(b *testing.B) {
-	app := webapp.MustBuild()
-	configs := []struct {
-		name string
-		mf   bool
-		hg   bool
-		ss   bool
-	}{
-		{"Bare", false, false, false},
-		{"MemoryFirewall", true, false, false},
-		{"MemoryFirewall+ShadowStack", true, false, true},
-		{"MemoryFirewall+HeapGuard", true, true, false},
-		{"MemoryFirewall+HeapGuard+ShadowStack", true, true, true},
+	base, _ := sharedSetups(b)
+	configs, err := redteam.Table2Configs(base)
+	if err != nil {
+		b.Fatal(err)
 	}
 	pages := redteam.EvaluationPages()
-	for _, cfg := range configs {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
+	for i := range configs {
+		cfg := &configs[i]
+		b.Run(cfg.Bench, func(b *testing.B) {
 			var hooks uint64
 			for i := 0; i < b.N; i++ {
 				hooks = 0
 				for _, page := range pages {
-					res := runPage(b, app, page, cfg.mf, cfg.hg, cfg.ss)
+					res, err := cfg.Load(base.App, page)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Outcome != vm.OutcomeExit {
+						b.Fatalf("evaluation page failed under %s: %+v", cfg.Name, res)
+					}
 					hooks += res.HookRuns
 				}
 			}
 			b.ReportMetric(float64(hooks), "hook-runs")
 		})
 	}
-}
-
-// runPage executes one evaluation page directly under the requested
-// monitors (no pipeline wrapper, so the measured cost is the monitors').
-func runPage(b *testing.B, app *webapp.App, page []byte, mf, hg, ss bool) vm.RunResult {
-	b.Helper()
-	var plugins []vm.Plugin
-	var shadow *monitor.ShadowStack
-	if ss {
-		shadow = monitor.NewShadowStack()
-		plugins = append(plugins, shadow)
-	}
-	if mf {
-		plugins = append(plugins, monitor.NewMemoryFirewall())
-	}
-	if hg {
-		plugins = append(plugins, monitor.NewHeapGuard())
-	}
-	machine, err := vm.New(vm.Config{Image: app.Image, Input: page, Plugins: plugins})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if shadow != nil {
-		shadow.Install(machine)
-	}
-	res := machine.Run()
-	if res.Outcome != vm.OutcomeExit {
-		b.Fatalf("evaluation page failed: %+v", res)
-	}
-	return res
 }
 
 // BenchmarkLearningOff/On regenerate §4.4.1 (the learning overhead): the

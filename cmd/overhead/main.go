@@ -41,7 +41,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "overhead:", err)
 		os.Exit(1)
 	}
-	rows, err := redteam.MeasureOverheadWithPatch(setup, *repeats)
+	rows, err := redteam.MeasureTable2(setup, *repeats)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "overhead:", err)
 		os.Exit(1)

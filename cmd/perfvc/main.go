@@ -98,6 +98,8 @@ func runRecord(f recordFlags) error {
 	profile.Meta.Note = f.note
 	profile.Meta.Date = time.Now().UTC().Format("2006-01-02")
 	profile.Meta.Go = runtime.Version()
+	profile.Meta.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	profile.Meta.NumCPU = runtime.NumCPU()
 	if profile.Meta.CPU == "" {
 		profile.Meta.CPU = "unknown"
 	}

@@ -24,9 +24,9 @@
 // through a flat two-level page table (a fixed top-level array of
 // page-group pointers — two array indexings, no map operations), fronted
 // by a small direct-mapped software TLB of recent (page → frame,
-// writable) translations that the 8/32-bit accessors hit inline.
-// Copy-on-write state is per-page metadata beside the frame pointers; a
-// write to a shared page privatizes just that page. Every event that
+// writable) translations that the 8/32-bit accessors check first. A page
+// group holds its frames as *[PageSize]byte and their copy-on-write state
+// as a bit set; a write to a shared page privatizes just that page. Every event that
 // could make a cached translation lie — Clone resharing pages, a COW
 // break swapping a frame, UnmarshalBinary replacing the table — flushes
 // or rewrites the TLB (property-tested against the original map-backed
@@ -36,10 +36,13 @@
 // accounting, and rep-movsb overlap replication bit-for-bit.
 //
 // internal/vm has one interpreter loop, vm.Run, over a block-linked code
-// cache. Each code-cache block caches its resolved successor *Block
-// pointers, so straight-line and direct-branch dispatch skips the cache
-// map; links carry a cache generation and every patch apply/remove bumps
-// it, invalidating all links at once. Within a block, each instruction
+// cache. Blocks share their instructions with every machine of the image
+// through the image's decode table, once guest memory is checked to
+// still hold the image's code bytes, so a fresh machine pays only for the
+// blocks it runs. Each code-cache block caches its resolved successor
+// *Block pointers, so straight-line and direct-branch dispatch skips the cache
+// map; links carry a cache generation that a patch flush (a walk of the
+// cache) bumps, invalidating all links at once. Within a block, each instruction
 // runs its hook chain (if any) on one reusable Ctx and then executes from
 // a single opcode switch, so plain and instrumented runs alike allocate
 // nothing per instruction (enforced by test). Edge coverage is recorded

@@ -95,20 +95,6 @@ func (db *DB) NoteBlockExec(pc uint32) *Proc {
 	return p
 }
 
-// decode reads one instruction from the image, returning ok=false outside
-// the code region or at undecodable bytes (where symbolic tracing stops).
-func (db *DB) decode(pc uint32) (isa.Inst, bool) {
-	if !db.img.Contains(pc) || !db.img.Contains(pc+isa.InstSize-1) {
-		return isa.Inst{}, false
-	}
-	off := pc - db.img.Base
-	in, err := isa.Decode(db.img.Code[off : off+isa.InstSize])
-	if err != nil {
-		return isa.Inst{}, false
-	}
-	return in, true
-}
-
 // instrSuccs returns the static successor instruction addresses of the
 // instruction at pc within the same procedure. Calls fall through to the
 // return point (the callee is a different procedure); returns, halts, and
@@ -146,7 +132,7 @@ func (db *DB) trace(entry uint32) *Proc {
 		if _, done := seen[pc]; done {
 			continue
 		}
-		in, ok := db.decode(pc)
+		in, ok := db.img.InstAt(pc)
 		if !ok {
 			continue
 		}

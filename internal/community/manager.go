@@ -13,7 +13,6 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/evaluate"
 	"repro/internal/image"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/repair"
 	"repro/internal/replay"
@@ -912,7 +911,7 @@ func (m *Manager) finishChecking(c *caseState) {
 	c.phaseSeq = m.seq
 	corr := correlate.Classify(c.runs)
 	selected := correlate.SelectForRepair(c.cands, corr)
-	c.repairs = repair.GenerateAll(selected, m.instAt, m.inv.SPOffsetAt)
+	c.repairs = repair.GenerateAll(selected, m.conf.Image.InstAt, m.inv.SPOffsetAt)
 	c.evaluator = evaluate.New(c.repairs, m.conf.Bonus)
 	if c.evaluator.Len() == 0 {
 		c.state = core.StateUnrepaired
@@ -1129,15 +1128,6 @@ func (m *Manager) Adoptions() map[uint32]string {
 		}
 	}
 	return out
-}
-
-func (m *Manager) instAt(pc uint32) (isa.Inst, bool) {
-	img := m.conf.Image
-	if !img.Contains(pc) || pc+isa.InstSize > img.End() {
-		return isa.Inst{}, false
-	}
-	in, err := isa.Decode(img.Code[pc-img.Base:])
-	return in, err == nil
 }
 
 // directivesFor snapshots the current patch set for one node.

@@ -28,7 +28,6 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/evaluate"
 	"repro/internal/image"
-	"repro/internal/isa"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/repair"
@@ -240,19 +239,6 @@ func (cv *ClearView) Cases() []*FailureCase {
 
 // Case returns the failure case at a failure location, or nil.
 func (cv *ClearView) Case(pc uint32) *FailureCase { return cv.cases[pc] }
-
-// instAt decodes the instruction at pc from the protected image.
-func (cv *ClearView) instAt(pc uint32) (isa.Inst, bool) {
-	if !cv.conf.Image.Contains(pc) {
-		return isa.Inst{}, false
-	}
-	off := pc - cv.conf.Image.Base
-	if off+isa.InstSize > uint32(len(cv.conf.Image.Code)) {
-		return isa.Inst{}, false
-	}
-	in, err := isa.Decode(cv.conf.Image.Code[off : off+isa.InstSize])
-	return in, err == nil
-}
 
 // Execute runs the application once on input under the current protection
 // state and advances every failure case.
@@ -489,7 +475,7 @@ func (cv *ClearView) finishChecking(fc *FailureCase) {
 
 	buildStart := time.Now()
 	selected := correlate.SelectForRepair(fc.Candidates, fc.Correlations)
-	fc.Repairs = repair.GenerateAll(selected, cv.instAt, cv.conf.Invariants.SPOffsetAt)
+	fc.Repairs = repair.GenerateAll(selected, cv.conf.Image.InstAt, cv.conf.Invariants.SPOffsetAt)
 	fc.Metrics.RepairCount = len(fc.Repairs)
 	fc.Metrics.RepairsBuilt = repair.CountByKind(fc.Repairs)
 	cv.PatchesGenerated += len(fc.Repairs)

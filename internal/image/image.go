@@ -7,13 +7,20 @@ package image
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+
+	"repro/internal/isa"
 )
 
-// Image is a loadable stripped binary.
+// Image is a loadable stripped binary. Its code must not change once a
+// machine has run it: the decode table (see Decoded) is built from it once.
 type Image struct {
 	Base  uint32 // load address of Code[0]
 	Entry uint32 // initial program counter
 	Code  []byte
+
+	once    sync.Once
+	decoded []isa.Inst
 }
 
 // End returns one past the last code address.

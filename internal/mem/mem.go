@@ -70,17 +70,26 @@ func (f *Fault) Error() string {
 // 256 KiB of zeroed memory.
 var zeroPage [PageSize]byte
 
+// frame is one page's storage.
+type frame = [PageSize]byte
+
 // isZeroPage reports whether a frame is the shared zero page.
-func isZeroPage(p []byte) bool { return &p[0] == &zeroPage[0] }
+func isZeroPage(p *frame) bool { return p == &zeroPage }
 
 // pageGroup is one second-level page-table node: storage and COW metadata
-// for a 4 MiB-aligned run of 1024 pages. shared[i] marks a page whose
-// storage is referenced by at least one clone; it must be copied before
-// this Memory writes it.
+// for a 4 MiB-aligned run of 1024 pages, about 8.3 KiB. Bit i of shared
+// marks a page whose storage is referenced by at least one clone; it must
+// be copied before this Memory writes it.
 type pageGroup struct {
-	pages  [groupPages][]byte
-	shared [groupPages]bool
+	pages  [groupPages]*frame
+	shared [groupPages / 64]uint64
 }
+
+func (g *pageGroup) isShared(si uint32) bool { return g.shared[si/64]&(1<<(si%64)) != 0 }
+
+func (g *pageGroup) setShared(si uint32) { g.shared[si/64] |= 1 << (si % 64) }
+
+func (g *pageGroup) clearShared(si uint32) { g.shared[si/64] &^= 1 << (si % 64) }
 
 // tlbEntry caches one translation. tag is the page number plus one so the
 // zero value never matches; page is the backing frame; writable is false
@@ -89,7 +98,7 @@ type pageGroup struct {
 type tlbEntry struct {
 	tag      uint32
 	writable bool
-	page     []byte
+	page     *frame
 }
 
 // Memory is a sparse paged 32-bit address space.
@@ -152,7 +161,7 @@ func (m *Memory) Clone() *Memory {
 		// the group wholesale so the clone inherits the shared bits.
 		for si := range g.pages {
 			if g.pages[si] != nil {
-				g.shared[si] = true
+				g.setShared(uint32(si))
 			}
 		}
 		cg := new(pageGroup)
@@ -193,7 +202,7 @@ func (m *Memory) Map(addr, size uint32) {
 			m.groups[pn>>groupShift] = g
 		}
 		if g.pages[pn&groupMask] == nil {
-			g.pages[pn&groupMask] = zeroPage[:]
+			g.pages[pn&groupMask] = &zeroPage
 			m.pageCount++
 		}
 		if pn == last {
@@ -211,7 +220,7 @@ func (m *Memory) Mapped(addr uint32) bool {
 
 // readPage walks the page table for the page containing addr, refilling
 // the TLB on success. It is the shared miss path of every read.
-func (m *Memory) readPage(addr uint32) ([]byte, error) {
+func (m *Memory) readPage(addr uint32) (*frame, error) {
 	pn := addr >> pageShift
 	g := m.groups[pn>>groupShift]
 	if g == nil {
@@ -221,14 +230,14 @@ func (m *Memory) readPage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr}
 	}
-	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: !g.shared[pn&groupMask] && !isZeroPage(p), page: p}
+	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: !g.isShared(pn&groupMask) && !isZeroPage(p), page: p}
 	return p, nil
 }
 
 // writePage walks the page table for a writable frame, breaking COW if
 // the page is shared or zero-filling it if it is still on the zero page,
 // and refilling the TLB with a writable translation.
-func (m *Memory) writePage(addr uint32) ([]byte, error) {
+func (m *Memory) writePage(addr uint32) (*frame, error) {
 	pn := addr >> pageShift
 	g := m.groups[pn>>groupShift]
 	if g == nil {
@@ -239,16 +248,16 @@ func (m *Memory) writePage(addr uint32) ([]byte, error) {
 	if p == nil {
 		return nil, &Fault{Addr: addr, Write: true}
 	}
-	if shared := g.shared[si]; shared || isZeroPage(p) {
-		dup := make([]byte, PageSize)
+	if shared := g.isShared(si); shared || isZeroPage(p) {
+		dup := new(frame)
 		if shared {
-			copy(dup, p)
+			*dup = *p
 			m.cowBreaks++
 		} else {
 			m.zeroFills++
 		}
 		g.pages[si] = dup
-		g.shared[si] = false
+		g.clearShared(si)
 		p = dup
 	}
 	m.tlb[pn&tlbMask] = tlbEntry{tag: pn + 1, writable: true, page: p}
@@ -422,7 +431,7 @@ func (m *Memory) WriteRun(addr, n uint32) ([]byte, error) {
 
 // forEachPage visits every mapped page in ascending page-number order —
 // the iteration order the two-level table provides for free (no sort).
-func (m *Memory) forEachPage(f func(pn uint32, p []byte)) {
+func (m *Memory) forEachPage(f func(pn uint32, p *frame)) {
 	for gi, g := range m.groups {
 		if g == nil {
 			continue
@@ -444,15 +453,15 @@ func (m *Memory) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 4, 4+m.pageCount*5)
 	binary.LittleEndian.PutUint32(out, uint32(m.pageCount))
 	var pnb [4]byte
-	m.forEachPage(func(pn uint32, p []byte) {
+	m.forEachPage(func(pn uint32, p *frame) {
 		binary.LittleEndian.PutUint32(pnb[:], pn)
 		out = append(out, pnb[:]...)
-		if isZeroPage(p) || allZero(p) {
+		if isZeroPage(p) || allZero(p[:]) {
 			out = append(out, 0)
 			return
 		}
 		out = append(out, 1)
-		out = append(out, p...)
+		out = append(out, p[:]...)
 	})
 	return out, nil
 }
@@ -488,13 +497,13 @@ func (m *Memory) UnmarshalBinary(b []byte) error {
 		if pn >= 1<<(32-pageShift) {
 			return fmt.Errorf("mem: page index %#x out of range", pn)
 		}
-		page := zeroPage[:]
+		page := &zeroPage
 		if flag != 0 {
 			if len(b) < PageSize {
 				return fmt.Errorf("mem: truncated page data for page %#x", pn)
 			}
-			page = make([]byte, PageSize)
-			copy(page, b[:PageSize])
+			page = new(frame)
+			copy(page[:], b[:PageSize])
 			b = b[PageSize:]
 		}
 		g := m.groups[pn>>groupShift]
@@ -506,7 +515,7 @@ func (m *Memory) UnmarshalBinary(b []byte) error {
 			m.pageCount++
 		}
 		g.pages[pn&groupMask] = page
-		g.shared[pn&groupMask] = false
+		g.clearShared(pn & groupMask)
 	}
 	return nil
 }

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// onZeroPage reports whether a run returned by ReadRun aliases the shared
+// zero page.
+func onZeroPage(run []byte) bool { return &run[0] == &zeroPage[0] }
+
 // TestZeroPageBacksFreshMappings: a fresh mapping reads zero from the
 // shared zero page and gets a private frame only on its first write, which
 // counts as a zero fill — never as a COW break.
@@ -20,7 +24,7 @@ func TestZeroPageBacksFreshMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isZeroPage(run) {
+	if !onZeroPage(run) {
 		t.Fatal("fresh page does not read from the zero page")
 	}
 	if err := m.Write32(0x8000+PageSize+12, 0xDEAD_BEEF); err != nil {
@@ -79,7 +83,7 @@ func TestZeroPageUnmarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !isZeroPage(run) {
+		if !onZeroPage(run) {
 			t.Fatalf("all-zero page %d was given its own frame", pn)
 		}
 	}

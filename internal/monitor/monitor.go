@@ -40,18 +40,7 @@ func (m *MemoryFirewall) Name() string { return "MemoryFirewall" }
 // transfer that does not correspond to a decoded instruction) is subjected
 // to the same program-shepherding policy.
 func (m *MemoryFirewall) Instrument(v *vm.VM, b *vm.Block) {
-	v.SetTransferValidator(func(pc, target uint32) *vm.Failure {
-		if v.InCode(target) {
-			return nil
-		}
-		return &vm.Failure{
-			PC:      pc,
-			Monitor: "MemoryFirewall",
-			Kind:    "illegal control flow transfer",
-			Detail:  fmt.Sprintf("exception dispatch to %#x", target),
-			Target:  target,
-		}
-	})
+	v.SetTransferValidator(validateDispatch)
 	for i, in := range b.Insts {
 		if !in.Op.IsIndirect() {
 			continue
@@ -74,6 +63,21 @@ func (m *MemoryFirewall) Instrument(v *vm.VM, b *vm.Block) {
 			}
 			return nil
 		})
+	}
+}
+
+// validateDispatch is Memory Firewall's exception-dispatch check: the
+// handler address must lie in the original code.
+func validateDispatch(v *vm.VM, pc, target uint32) *vm.Failure {
+	if v.InCode(target) {
+		return nil
+	}
+	return &vm.Failure{
+		PC:      pc,
+		Monitor: "MemoryFirewall",
+		Kind:    "illegal control flow transfer",
+		Detail:  fmt.Sprintf("exception dispatch to %#x", target),
+		Target:  target,
 	}
 }
 

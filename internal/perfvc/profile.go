@@ -34,6 +34,10 @@ type Meta struct {
 	CPU string `json:"cpu"`
 	// Go is the toolchain version that ran the suite.
 	Go string `json:"go"`
+	// GOMAXPROCS is the scheduler's processor limit during the run.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// NumCPU is the host's logical CPU count.
+	NumCPU int `json:"num_cpu,omitempty"`
 	// Note carries methodology caveats a reader needs to compare fairly.
 	Note string `json:"note,omitempty"`
 	// Regenerate is the exact command sequence that reproduces the

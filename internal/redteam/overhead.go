@@ -43,33 +43,87 @@ func finalizeRows(rows []OverheadRow) {
 	}
 }
 
-// monitorConfig names one Table 2 row's monitor set.
-type monitorConfig struct {
-	name string
-	mons replay.Monitors
+// Table2Config is one row of the Table 2 reproduction (§4.4.2): the
+// monitors a page loads under and, in the last row, the deployed repair.
+type Table2Config struct {
+	// Name is the row label the overhead table prints.
+	Name string
+	// Bench names the row's BenchmarkTable2 sub-benchmark.
+	Bench string
+	// Monitors are the detectors every page loads under.
+	Monitors replay.Monitors
+	// Patches are the adopted repair's patches, deployed on every page.
+	Patches []*vm.Patch
 }
 
-// table2Configs are the rows of Table 2 (§4.4.2): the paper's five
-// configurations plus the full extended detector set, so the table also
-// prices the arithmetic-fault and hang detectors (whose cost is confined
-// to faultable instructions and the dispatch loop respectively).
-func table2Configs() []monitorConfig {
-	return []monitorConfig{
-		{name: "Bare application"},
-		{name: "Memory Firewall", mons: replay.Monitors{MemoryFirewall: true}},
-		{name: "Memory Firewall + Shadow Stack", mons: replay.Monitors{MemoryFirewall: true, ShadowStack: true}},
-		{name: "Memory Firewall + Heap Guard", mons: replay.Monitors{MemoryFirewall: true, HeapGuard: true}},
-		{name: "Memory Firewall + Heap Guard + Shadow Stack",
-			mons: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true}},
-		{name: "All detectors (+ Fault Guard + Hang Guard)", mons: replay.AllMonitors()},
-	}
-}
-
-func runUnderConfig(app *webapp.App, input []byte, mc monitorConfig, patches []*vm.Patch) (vm.RunResult, error) {
-	plugins, shadow, hang := mc.mons.Plugins()
-	machine, err := vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: patches})
+// Table2Configs returns the seven Table 2 rows: the paper's five
+// configurations, the full extended detector set (which also prices the
+// arithmetic-fault and hang detectors, whose cost is confined to
+// faultable instructions and the dispatch loop), and the paper's third
+// deployment state, every detector plus an adopted repair. The repair is
+// generated the real way: a single-exploit campaign against 290162 runs
+// on s until ClearView adopts one.
+func Table2Configs(s *Setup) ([]Table2Config, error) {
+	patches, err := adoptedRepair(s)
 	if err != nil {
-		return vm.RunResult{}, err
+		return nil, err
+	}
+	all := replay.AllMonitors()
+	return []Table2Config{
+		{Name: "Bare application", Bench: "Bare"},
+		{Name: "Memory Firewall", Bench: "MemoryFirewall",
+			Monitors: replay.Monitors{MemoryFirewall: true}},
+		{Name: "Memory Firewall + Shadow Stack", Bench: "MemoryFirewall+ShadowStack",
+			Monitors: replay.Monitors{MemoryFirewall: true, ShadowStack: true}},
+		{Name: "Memory Firewall + Heap Guard", Bench: "MemoryFirewall+HeapGuard",
+			Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true}},
+		{Name: "Memory Firewall + Heap Guard + Shadow Stack", Bench: "MemoryFirewall+HeapGuard+ShadowStack",
+			Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true}},
+		{Name: "All detectors (+ Fault Guard + Hang Guard)", Bench: "AllDetectors", Monitors: all},
+		{Name: "All detectors + adopted repair", Bench: "AllDetectors+AdoptedRepair", Monitors: all, Patches: patches},
+	}, nil
+}
+
+// adoptedRepair runs a 290162 campaign until ClearView adopts a repair and
+// returns the repair's patches.
+func adoptedRepair(s *Setup) ([]*vm.Patch, error) {
+	const bugzilla = "290162"
+	var target *Exploit
+	for _, ex := range Exploits() {
+		if ex.Bugzilla == bugzilla {
+			target = &ex
+			break
+		}
+	}
+	if target == nil {
+		return nil, fmt.Errorf("overhead: exploit %s not in corpus", bugzilla)
+	}
+	cv, err := s.ClearView(target.NeedsStackScope)
+	if err != nil {
+		return nil, err
+	}
+	if res := RunSingleVariant(cv, s.App, *target, 24); !res.Patched {
+		return nil, fmt.Errorf("overhead: campaign did not adopt a repair for %s", bugzilla)
+	}
+	var patches []*vm.Patch
+	for _, fc := range cv.Cases() {
+		if fc.Current != nil {
+			patches = append(patches, fc.Current.Repair.BuildPatches(fc.ID)...)
+		}
+	}
+	if len(patches) == 0 {
+		return nil, fmt.Errorf("overhead: no deployed patch after the %s campaign", bugzilla)
+	}
+	return patches, nil
+}
+
+// machine builds a fresh machine that loads input under the row's
+// monitors and patches.
+func (c *Table2Config) machine(app *webapp.App, input []byte) (*vm.VM, error) {
+	plugins, shadow, hang := c.Monitors.Plugins()
+	machine, err := vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: c.Patches})
+	if err != nil {
+		return nil, err
 	}
 	if shadow != nil {
 		shadow.Install(machine)
@@ -77,23 +131,32 @@ func runUnderConfig(app *webapp.App, input []byte, mc monitorConfig, patches []*
 	if hang != nil {
 		hang.Install(machine)
 	}
+	return machine, nil
+}
+
+// Load runs input to completion on a fresh machine under the row's
+// monitors and patches.
+func (c *Table2Config) Load(app *webapp.App, input []byte) (vm.RunResult, error) {
+	machine, err := c.machine(app, input)
+	if err != nil {
+		return vm.RunResult{}, err
+	}
 	return machine.Run(), nil
 }
 
-// measureConfig loads the evaluation pages repeats times under one
-// monitor configuration (plus optional deployed patches) and returns the
-// accumulated row (derived columns unset).
-func measureConfig(app *webapp.App, pages [][]byte, mc monitorConfig, patches []*vm.Patch, repeats int) (OverheadRow, error) {
-	row := OverheadRow{Config: mc.name}
+// measureConfig loads the evaluation pages repeats times under one row's
+// configuration and returns the accumulated row (derived columns unset).
+func measureConfig(app *webapp.App, pages [][]byte, c *Table2Config, repeats int) (OverheadRow, error) {
+	row := OverheadRow{Config: c.Name}
 	start := time.Now()
 	for r := 0; r < repeats; r++ {
 		for i, page := range pages {
-			res, err := runUnderConfig(app, page, mc, patches)
+			res, err := c.Load(app, page)
 			if err != nil {
 				return row, err
 			}
 			if res.Outcome != vm.OutcomeExit {
-				return row, fmt.Errorf("page %d failed under %q: %v", i, mc.name, res.Outcome)
+				return row, fmt.Errorf("page %d failed under %q: %v", i, c.Name, res.Outcome)
 			}
 			row.Steps += res.Steps
 			row.HookRuns += res.HookRuns
@@ -103,91 +166,34 @@ func measureConfig(app *webapp.App, pages [][]byte, mc monitorConfig, patches []
 	return row, nil
 }
 
-// MeasureTable2 loads the 57 evaluation pages under each monitor
-// configuration (the page-load workload of §4.4.2) and reports the
-// relative overheads. repeats > 1 smooths wall-clock noise.
-func MeasureTable2(app *webapp.App, repeats int) ([]OverheadRow, error) {
+// MeasureTable2 loads the 57 evaluation pages under each Table2Configs
+// row (the page-load workload of §4.4.2), so the table answers
+// "unmonitored vs monitored vs patched" at once, and reports the relative
+// overheads. repeats > 1 smooths wall-clock noise.
+func MeasureTable2(s *Setup, repeats int) ([]OverheadRow, error) {
 	if repeats <= 0 {
 		repeats = 1
 	}
+	configs, err := Table2Configs(s)
+	if err != nil {
+		return nil, err
+	}
 	pages := EvaluationPages()
-	// One discarded sweep warms the process (allocator, code paths)
-	// before the bare row is timed; without it the first-measured
-	// configuration absorbs the warmup cost and the ratios invert.
-	if _, err := measureConfig(app, pages, table2Configs()[0], nil, 1); err != nil {
+	// One discarded sweep warms the process (allocator, code paths) and
+	// settles the GC state the repair campaign left behind before the bare
+	// row is timed; without it the first-measured configuration absorbs
+	// the warmup cost and the ratios invert.
+	if _, err := measureConfig(s.App, pages, &configs[0], 1); err != nil {
 		return nil, err
 	}
 	var rows []OverheadRow
-	for _, mc := range table2Configs() {
-		row, err := measureConfig(app, pages, mc, nil, repeats)
+	for i := range configs {
+		row, err := measureConfig(s.App, pages, &configs[i], repeats)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	finalizeRows(rows)
-	return rows, nil
-}
-
-// MeasureOverheadWithPatch extends the Table 2 measurement with the
-// paper's third deployment state: the fully monitored application running
-// with an adopted repair patch installed. The patch is generated the real
-// way — a single-exploit campaign (290162) runs until ClearView adopts a
-// repair — and then deployed on the page-load workload, so the table
-// answers "unmonitored vs monitored vs patched" from one command.
-func MeasureOverheadWithPatch(s *Setup, repeats int) ([]OverheadRow, error) {
-	rows, err := MeasureTable2(s.App, repeats)
-	if err != nil {
-		return nil, err
-	}
-
-	var target *Exploit
-	for _, ex := range Exploits() {
-		if ex.Bugzilla == "290162" {
-			e := ex
-			target = &e
-			break
-		}
-	}
-	if target == nil {
-		return nil, fmt.Errorf("overhead: exploit 290162 not in corpus")
-	}
-	cv, err := s.ClearView(target.NeedsStackScope)
-	if err != nil {
-		return nil, err
-	}
-	res := RunSingleVariant(cv, s.App, *target, 24)
-	if !res.Patched {
-		return nil, fmt.Errorf("overhead: campaign did not adopt a repair for %s", target.Bugzilla)
-	}
-	var patches []*vm.Patch
-	for _, fc := range cv.Cases() {
-		if fc.Current != nil {
-			patches = append(patches, fc.Current.Repair.BuildPatches(fc.ID)...)
-		}
-	}
-	if len(patches) == 0 {
-		return nil, fmt.Errorf("overhead: no deployed patch after successful campaign")
-	}
-
-	mc := monitorConfig{
-		name: "All detectors + adopted repair",
-		mons: replay.AllMonitors(),
-	}
-	if repeats <= 0 {
-		repeats = 1
-	}
-	// The repair campaign above leaves allocator/GC state that would
-	// inflate the patched row relative to the monitor rows measured under
-	// steady state; one discarded sweep restores comparability.
-	if _, err := measureConfig(s.App, EvaluationPages(), mc, patches, 1); err != nil {
-		return nil, err
-	}
-	row, err := measureConfig(s.App, EvaluationPages(), mc, patches, repeats)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
 	finalizeRows(rows)
 	return rows, nil
 }

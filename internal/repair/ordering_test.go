@@ -31,7 +31,7 @@ func orderFixture(t *testing.T) ([]correlate.Candidate, InstAt, func(uint32) (ui
 		{Inv: &daikon.Invariant{Kind: daikon.KindLessThan, Var: vid(site, 0), Var2: vid(after, 1)}, Depth: 1},
 	}
 	sp := func(pc uint32) (uint32, bool) { return 8, true }
-	return cands, instAtFor(img), sp
+	return cands, img.InstAt, sp
 }
 
 // TestGenerateAllDeterministicOrder: same candidates ⇒ same repairs in

@@ -25,16 +25,6 @@ func mkImage(t *testing.T, build func(a *asm.Assembler)) (*image.Image, map[stri
 	return &image.Image{Base: 0x1000, Entry: entry, Code: code}, labels
 }
 
-func instAtFor(img *image.Image) InstAt {
-	return func(pc uint32) (isa.Inst, bool) {
-		if !img.Contains(pc) {
-			return isa.Inst{}, false
-		}
-		in, err := isa.Decode(img.Code[pc-img.Base:])
-		return in, err == nil
-	}
-}
-
 func noSP(uint32) (uint32, bool) { return 0, false }
 
 func TestGenerateOneOfCallTarget(t *testing.T) {
@@ -51,7 +41,7 @@ func TestGenerateOneOfCallTarget(t *testing.T) {
 		Values: []uint32{0x1100, 0x1200},
 	}
 	withSP := func(pc uint32) (uint32, bool) { return 4, pc == site }
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), withSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, withSP)
 
 	var strategies []Strategy
 	for _, r := range rs {
@@ -83,7 +73,7 @@ func TestGenerateOneOfNonCallHasNoSkip(t *testing.T) {
 		a.Sys(isa.SysExit)
 	})
 	inv := &daikon.Invariant{Kind: daikon.KindOneOf, Var: vid(labels["site"], 0), Values: []uint32{5}}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	for _, r := range rs {
 		if r.Strategy == StratSkipCall {
 			t.Error("skip-call generated for a non-call instruction")
@@ -128,7 +118,7 @@ func TestClampLowerPatchEnforces(t *testing.T) {
 		a.Sys(isa.SysExit)
 	})
 	inv := &daikon.Invariant{Kind: daikon.KindLowerBound, Var: vid(labels["site"], 0), Bound: 1}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	if len(rs) != 1 || rs[0].Strategy != StratClampLower {
 		t.Fatalf("repairs = %v", rs)
 	}
@@ -149,7 +139,7 @@ func TestClampLowerNoOpWhenSatisfied(t *testing.T) {
 		a.Sys(isa.SysExit)
 	})
 	inv := &daikon.Invariant{Kind: daikon.KindLowerBound, Var: vid(labels["site"], 0), Bound: 1}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	machine, _ := vm.New(vm.Config{Image: img, Patches: rs[0].BuildPatches("t")})
 	if res := machine.Run(); res.ExitCode != 9 {
 		t.Errorf("repair perturbed a satisfied execution: exit = %d", res.ExitCode)
@@ -173,7 +163,7 @@ func TestSetValuePatchRedirectsCall(t *testing.T) {
 		Kind: daikon.KindOneOf, Var: vid(labels["site"], 2),
 		Values: []uint32{labels["good"]},
 	}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	if rs[0].Strategy != StratSetValue {
 		t.Fatalf("first repair = %v", rs[0].Strategy)
 	}
@@ -201,7 +191,7 @@ func TestReturnProcPatch(t *testing.T) {
 	})
 	inv := &daikon.Invariant{Kind: daikon.KindOneOf, Var: vid(labels["site"], 0), Values: []uint32{1}}
 	spOff := func(pc uint32) (uint32, bool) { return 8, pc == labels["site"] }
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), spOff)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, spOff)
 	var ret *Repair
 	for _, r := range rs {
 		if r.Strategy == StratReturnProc {
@@ -234,7 +224,7 @@ func TestClampLessSameInstruction(t *testing.T) {
 		Kind: daikon.KindLessThan,
 		Var:  vid(labels["site"], 0), Var2: vid(labels["site"], 1),
 	}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	var clamp *Repair
 	for _, r := range rs {
 		if r.Strategy == StratClampLess {
@@ -271,7 +261,7 @@ func TestClampModEnforcement(t *testing.T) {
 		inv := &daikon.Invariant{
 			Kind: daikon.KindModulus, Var: vid(labels["site"], 0), Values: []uint32{4, 2},
 		}
-		rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+		rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 		if len(rs) != 1 || rs[0].Strategy != StratClampMod {
 			t.Fatalf("repairs for modulus = %v, want one clamp-mod", rs)
 		}
@@ -295,7 +285,7 @@ func TestNonzeroEnforcement(t *testing.T) {
 	inv := &daikon.Invariant{
 		Kind: daikon.KindNonzero, Var: vid(labels["site"], 0), Bound: -3,
 	}
-	rs := Generate(correlate.Candidate{Inv: inv}, instAtFor(img), noSP)
+	rs := Generate(correlate.Candidate{Inv: inv}, img.InstAt, noSP)
 	if len(rs) != 2 || rs[0].Strategy != StratNonzeroClamp || rs[1].Strategy != StratSkipInst {
 		t.Fatalf("repairs for nonzero = %v, want [nonzero-clamp skip-inst]", rs)
 	}

@@ -63,7 +63,7 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 	dups := dupSlots(b)
 	for i := range b.Insts {
 		in := b.Insts[i]
-		pc := b.Addrs[i]
+		pc := b.Addr(i)
 
 		if i == 0 {
 			// Entering the block starts a new pass: pair relations are

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -44,11 +45,12 @@ type blockLink struct {
 	b   *Block
 }
 
-// Block is one basic block in the code cache.
+// Block is one basic block in the code cache. Insts is read-only: a block
+// decoded from unmodified code shares it with every machine loaded from
+// the same image (see decodeBlock).
 type Block struct {
 	Start uint32
 	Insts []isa.Inst
-	Addrs []uint32 // Addrs[i] is the address of Insts[i]
 
 	hooks  [][]hookEntry
 	nextSq int
@@ -82,13 +84,13 @@ func (b *Block) AddHook(i, prio int, h Hook) {
 	b.hooks[i] = list
 }
 
+// Addr returns the address of instruction i.
+func (b *Block) Addr(i int) uint32 { return b.Start + uint32(i)*isa.InstSize }
+
 // contains reports whether the block covers the instruction address.
 func (b *Block) contains(addr uint32) bool {
-	if len(b.Addrs) == 0 {
-		return false
-	}
-	last := b.Addrs[len(b.Addrs)-1]
-	return addr >= b.Start && addr <= last && (addr-b.Start)%isa.InstSize == 0
+	off := addr - b.Start
+	return addr >= b.Start && off%isa.InstSize == 0 && off/isa.InstSize < uint32(len(b.Insts))
 }
 
 // Patch is a unit of runtime modification: a hook bound to one instruction
@@ -154,48 +156,26 @@ func (v *VM) PatchIDs() []string {
 	return ids
 }
 
+// flushBlocksContaining ejects every cached block that covers addr. It
+// walks the cache: a machine applies its configured patches while the
+// cache is still empty, and only tests patch a running one, so no index
+// is kept. Blocks may overlap (a jump into the middle of a block decodes a
+// second block sharing the tail), and the walk ejects each of them.
 func (v *VM) flushBlocksContaining(addr uint32) {
-	// The address index maps every instruction address covered by a cached
-	// block to the blocks containing it, so a patch flush touches exactly
-	// the affected blocks instead of walking the whole code cache (blocks
-	// may overlap: a jump into the middle of a block decodes a second
-	// block sharing the tail). The index is built lazily on the first
-	// flush — until a patch actually lands, decode stays index-free.
-	if v.addrIndex == nil {
-		v.addrIndex = make(map[uint32][]*Block, len(v.cache))
-		for _, b := range v.cache {
-			for _, a := range b.Addrs {
-				v.addrIndex[a] = append(v.addrIndex[a], b)
-			}
+	ejected := false
+	for start, b := range v.cache {
+		if b.contains(addr) {
+			delete(v.cache, start)
+			ejected = true
 		}
 	}
-	victims := v.addrIndex[addr]
-	if len(victims) == 0 {
-		return
+	if ejected {
+		// Invalidate every successor link in one step: each carries the
+		// generation it was created under, so bumping it orphans links
+		// into (and out of) the ejected blocks without touching the blocks
+		// that hold them.
+		v.cacheGen++
 	}
-	for _, b := range victims {
-		if v.cache[b.Start] != b {
-			continue // already ejected via another address
-		}
-		delete(v.cache, b.Start)
-		for _, a := range b.Addrs {
-			list := v.addrIndex[a]
-			for i, q := range list {
-				if q == b {
-					list[i] = list[len(list)-1]
-					v.addrIndex[a] = list[:len(list)-1]
-					break
-				}
-			}
-			if len(v.addrIndex[a]) == 0 {
-				delete(v.addrIndex, a)
-			}
-		}
-	}
-	// Invalidate every successor link in one step: each carries the
-	// generation it was created under, so bumping it orphans links into
-	// (and out of) the ejected blocks without walking the cache.
-	v.cacheGen++
 }
 
 // dispatch returns the block starting at pc. This is the code cache's
@@ -255,46 +235,84 @@ func (v *VM) fetchBlock(pc uint32) (*Block, error) {
 	}
 	// Patch hooks are attached after plugin instrumentation so their
 	// relative order is governed purely by priority.
-	for i, addr := range b.Addrs {
-		for _, p := range v.patches.byAddr[addr] {
+	for i := range b.Insts {
+		for _, p := range v.patches.byAddr[b.Addr(i)] {
 			b.AddHook(i, p.Prio, p.Hook)
 		}
 	}
 	v.cache[pc] = b
-	if v.addrIndex != nil {
-		for _, addr := range b.Addrs {
-			v.addrIndex[addr] = append(v.addrIndex[addr], b)
-		}
-	}
 	v.blocks++
 	return b, nil
 }
 
-// decodeBlock reads instructions from pc through the first block
-// terminator. Run relies on it: only a block's last instruction transfers
-// control.
+// decodeBlock decodes the block at pc, through the first block terminator.
+// Run relies on that: only a block's last instruction transfers control.
+//
+// A block that starts on an instruction slot of the image shares the
+// image's decode table, once every instruction word in guest memory is
+// checked against the image's code bytes the table decoded. Code the
+// guest overwrote or a Restore brought back different, an unaligned start,
+// and a block that runs off the table or into an undecodable slot are
+// decoded from guest memory instead, with the same crash reasons.
 func (v *VM) decodeBlock(pc uint32) (*Block, error) {
+	if insts := v.sharedInsts(pc); insts != nil {
+		return &Block{Start: pc, Insts: insts}, nil
+	}
+	v.guestDecodes++
 	b := &Block{Start: pc}
 	for addr := pc; ; addr += isa.InstSize {
 		if !v.InCode(addr) {
 			return nil, fmt.Errorf("instruction fetch outside code region at %#x", addr)
 		}
-		raw, err := v.Mem.ReadBytes(addr, isa.InstSize)
-		if err != nil {
+		w, ok := v.codeWord(addr)
+		if !ok {
 			return nil, fmt.Errorf("instruction fetch fault at %#x", addr)
 		}
-		in, err := isa.Decode(raw)
+		var raw [isa.InstSize]byte
+		binary.LittleEndian.PutUint64(raw[:], w)
+		in, err := isa.Decode(raw[:])
 		if err != nil {
 			return nil, fmt.Errorf("undecodable instruction at %#x: %v", addr, err)
 		}
 		b.Insts = append(b.Insts, in)
-		b.Addrs = append(b.Addrs, addr)
 		if in.Op.EndsBlock() {
 			return b, nil
 		}
 	}
 }
 
-// CacheSize returns the number of blocks currently cached (for tests and
-// the overhead benchmarks).
-func (v *VM) CacheSize() int { return len(v.cache) }
+// sharedInsts returns the block at pc as a read-only subslice of the
+// image's decode table, or nil when it must be decoded from guest memory.
+func (v *VM) sharedInsts(pc uint32) []isa.Inst {
+	insts, code := v.Image.Decoded(), v.Image.Code
+	off := pc - v.Image.Base
+	if pc < v.Image.Base || off%isa.InstSize != 0 {
+		return nil
+	}
+	first := int(off / isa.InstSize)
+	for i, addr := first, pc; i < len(insts); i, addr = i+1, addr+isa.InstSize {
+		w, ok := v.codeWord(addr)
+		if !ok || w != binary.LittleEndian.Uint64(code[i*isa.InstSize:]) || !insts[i].Op.Valid() {
+			return nil
+		}
+		if insts[i].Op.EndsBlock() {
+			return insts[first : i+1 : i+1]
+		}
+	}
+	return nil
+}
+
+// codeWord reads the 8 bytes at addr from guest memory as one
+// little-endian word, without allocating unless a page is unmapped.
+func (v *VM) codeWord(addr uint32) (uint64, bool) {
+	lo, err := v.Mem.Read32(addr)
+	if err != nil {
+		return 0, false
+	}
+	hi, err := v.Mem.Read32(addr + 4)
+	return uint64(lo) | uint64(hi)<<32, err == nil
+}
+
+// GuestDecodes returns how many blocks this machine decoded from guest
+// memory instead of taking them from the image's decode table.
+func (v *VM) GuestDecodes() int { return v.guestDecodes }

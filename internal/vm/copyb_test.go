@@ -136,7 +136,7 @@ func TestExceptionDispatchValidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetTransferValidator(func(pc, target uint32) *Failure {
+	v.SetTransferValidator(func(v *VM, pc, target uint32) *Failure {
 		if v.InCode(target) {
 			return nil
 		}
@@ -184,7 +184,7 @@ func TestExceptionDispatchBlockedOnInjectedTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.SetTransferValidator(func(pc, target uint32) *Failure {
+	v.SetTransferValidator(func(v *VM, pc, target uint32) *Failure {
 		if v.InCode(target) {
 			return nil
 		}

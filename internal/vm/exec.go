@@ -238,7 +238,7 @@ blocks:
 		prev = b
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			addr := b.Addrs[i]
+			addr := b.Addr(i)
 			v.CPU.PC = addr
 			if v.steps >= v.maxSteps {
 				return v.crashed(addr, "step limit exceeded (hang)")
@@ -562,7 +562,7 @@ func (v *VM) dispatchException(pc uint32, execErr error) (uint32, *Failure, bool
 		return 0, nil, false
 	}
 	if v.validator != nil {
-		if f := v.validator(pc, handler); f != nil {
+		if f := v.validator(v, pc, handler); f != nil {
 			return 0, f, true
 		}
 	}

@@ -64,7 +64,8 @@ func (v *VM) Snapshot() *Snapshot {
 // the machine the snapshot was taken from; patches and plugins may differ
 // (that is the point: the replay farm restores one recorded state under
 // many candidate patch sets). The code cache is flushed so blocks are
-// re-instrumented against the restored machine's patch set.
+// re-instrumented against the restored machine's patch set and re-decoded
+// against the restored memory, which may hold code the guest rewrote.
 func (v *VM) Restore(s *Snapshot) {
 	v.CPU = s.CPU
 	v.Mem = s.Mem.Clone()
@@ -77,9 +78,8 @@ func (v *VM) Restore(s *Snapshot) {
 	v.hookRuns = s.HookRuns
 	v.blocks = s.Blocks
 	v.cache = make(map[uint32]*Block)
-	v.addrIndex = nil // rebuilt lazily if another patch lands
-	v.cacheGen++      // orphan successor links held by pre-restore blocks
-	v.lastBlock = 0   // coverage resumes with a fresh entry edge
+	v.cacheGen++    // orphan successor links held by pre-restore blocks
+	v.lastBlock = 0 // coverage resumes with a fresh entry edge
 }
 
 // maybeSnapshot emits a periodic snapshot to the configured sink. Called

@@ -161,9 +161,9 @@ type VM struct {
 	patches *patchSet
 	cache   map[uint32]*Block
 	// cacheGen is the code-cache generation; block successor links are
-	// valid only for the generation they were created under, so any
-	// flush (ApplyPatch/RemovePatch/Restore) invalidates all links by
-	// incrementing it.
+	// valid only for the generation they were created under, so a patch
+	// flush that ejects a block, and every Restore, invalidates all links
+	// by incrementing it.
 	cacheGen uint64
 	stack    StackProvider
 
@@ -173,30 +173,22 @@ type VM struct {
 	// allocation-free.
 	hookCtx Ctx
 
-	// addrIndex maps each code address covered by a cached block to the
-	// blocks containing it, so patch apply/remove flushes only the blocks
-	// actually touching the patched instruction instead of walking the
-	// whole cache. It is lazy: nil until the first flush builds it from
-	// the cache, incrementally maintained at block decode afterwards —
-	// machines that never see a patch land (replay restores, fuzz runs)
-	// never pay the per-decode indexing.
-	addrIndex map[uint32][]*Block
-
 	// Exception handling emulation (SysSetEH): on a memory fault the
 	// machine dispatches to the handler address stored at ehSlot, subject
 	// to the registered transfer validator (Memory Firewall).
 	ehSlot       uint32
 	ehDispatched bool
-	validator    func(pc, target uint32) *Failure
+	validator    func(v *VM, pc, target uint32) *Failure
 
 	input    []byte
 	inPos    int
 	output   []byte
 	maxSteps uint64
 
-	steps    uint64
-	hookRuns uint64
-	blocks   int
+	steps        uint64
+	hookRuns     uint64
+	blocks       int
+	guestDecodes int
 
 	snapInterval uint64
 	snapSink     func(*Snapshot)
@@ -214,8 +206,6 @@ type VM struct {
 	// same input fails at the same PC.
 	hangBudget uint64
 	hangFail   func(pc uint32, steps uint64) *Failure
-
-	stackLo, stackHi uint32
 }
 
 // New builds a machine, loads the image, maps stack and heap, and points
@@ -257,8 +247,6 @@ func New(cfg Config) (*VM, error) {
 		cache:    make(map[uint32]*Block),
 		input:    cfg.Input,
 		maxSteps: cfg.MaxSteps,
-		stackLo:  cfg.StackTop - cfg.StackSize,
-		stackHi:  cfg.StackTop,
 	}
 	if cfg.SnapshotInterval > 0 && cfg.SnapshotSink != nil {
 		v.snapInterval = cfg.SnapshotInterval
@@ -294,26 +282,15 @@ func (v *VM) SetHangWatch(budget uint64, fail func(pc uint32, steps uint64) *Fai
 // runtime-dispatched control transfers that do not correspond to a decoded
 // instruction — currently only exception-handler dispatch. Memory Firewall
 // registers itself here so that a corrupted handler record cannot divert
-// execution to injected code.
-func (v *VM) SetTransferValidator(f func(pc, target uint32) *Failure) {
+// execution to injected code. The check is handed the machine, so one
+// plain function serves every machine.
+func (v *VM) SetTransferValidator(f func(v *VM, pc, target uint32) *Failure) {
 	v.validator = f
 }
-
-// StackBounds returns the [lo, hi) bounds of the machine stack region.
-func (v *VM) StackBounds() (lo, hi uint32) { return v.stackLo, v.stackHi }
 
 // InCode reports whether addr lies within the application code region —
 // the legality predicate Memory Firewall applies to transfer targets.
 func (v *VM) InCode(addr uint32) bool { return v.Image.Contains(addr) }
-
-// Output returns the display bytes written so far.
-func (v *VM) OutputBytes() []byte { return v.output }
-
-// Steps returns the number of instructions executed so far.
-func (v *VM) Steps() uint64 { return v.steps }
-
-// InputRemaining returns the number of unconsumed input bytes.
-func (v *VM) InputRemaining() int { return len(v.input) - v.inPos }
 
 // Coverage returns the attached edge-coverage accumulator, or nil.
 func (v *VM) Coverage() *Coverage { return v.cov }
