@@ -85,7 +85,7 @@ func run(w io.Writer, id string) error {
 				fc.CurrentRepairID(), fc.Metrics.Unsuccessful)
 			if fc.State == core.StateEvaluating || (fc.State == core.StatePatched && i < 20) {
 				for _, e := range fc.Evaluator.Entries() {
-					fmt.Fprintf(w, "      repair %-60s s=%d f=%d\n", e.Repair.ID(), e.Successes, e.Failures)
+					fmt.Fprintf(w, "      repair %-60s s=%d f=%d\n", e.ID, e.Successes, e.Failures)
 				}
 			}
 			if i == 1 {

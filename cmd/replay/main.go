@@ -151,7 +151,7 @@ func writeRankedTable(w io.Writer, ev *evaluate.Evaluator, current *evaluate.Ent
 			marker = "*"
 		}
 		fmt.Fprintf(w, "  %s%-3d %-52s %8d %5d %5d\n",
-			marker, i+1, e.Repair.ID(), e.Score(ev.Bonus), e.Successes, e.Failures)
+			marker, i+1, e.ID, e.Score(ev.Bonus), e.Successes, e.Failures)
 	}
 	fmt.Fprintln(w, "  (* = deployed for the next live execution)")
 }

@@ -181,9 +181,9 @@ func (a *Aggregator) endpoint() endpoint { return endpoint{a.handle, a.served} }
 // pinned sender identity (see bindSender).
 //
 // Handling is two-phase. decode does everything that needs no aggregator
-// state — gob decode, learn-database and recording unmarshal, the static
-// vet checks — on the member connection's own goroutine, outside every
-// lock. apply then takes a.mu only to fold the pre-decoded, pre-vetted
+// state — payload decode, learn-database and recording unmarshal, the
+// static vet checks — on the member connection's own goroutine, outside
+// every lock. apply then takes a.mu only to fold the pre-decoded, pre-vetted
 // items into the flush buffers. Profiling the 1,000-node soak showed the
 // old single-phase shape (all decode work under a.mu) convoying every
 // member in a region behind whichever one was unmarshalling a batch:
@@ -247,89 +247,55 @@ type vettedRec struct {
 	bad  bool // failed checkRecordingStatic
 }
 
-// decode is handle's lock-free phase: unmarshal and statically vet one
-// member envelope using only immutable config (the image, VetReports) and
-// the connection-local sender binding. The one piece of mutable state it
-// reads is the sender's quarantine flag, through a short a.mu peek, so a
-// quarantined member's batch still costs the region a map lookup rather
-// than unmarshal work; the peek is advisory (apply re-checks under the
-// lock), it only avoids wasted decoding.
+// decode is handle's lock-free phase: decode the envelope and bind its
+// sender (decodeRequest, shared with the manager), then unmarshal and
+// statically vet its contents using only immutable config (the image,
+// VetReports). The one piece of mutable state it reads is the sender's
+// quarantine flag, through a short a.mu peek, so a quarantined member's
+// batch still costs the region a map lookup rather than unmarshal work;
+// the peek is advisory (apply re-checks under the lock), it only avoids
+// wasted decoding.
 func (a *Aggregator) decode(env Envelope, bound *string, sp *obs.Span) (decoded, error) {
-	switch env.Kind {
+	req, err := decodeRequest(env, bound)
+	if err != nil {
+		return decoded{}, err
+	}
+	msg := decoded{kind: req.kind, nodeID: req.sender}
+	switch req.kind {
 	case MsgHello:
-		nodeID, err := decodeHello(env.Payload)
-		if err != nil {
-			return decoded{}, err
-		}
-		if err := bindSender(bound, nodeID); err != nil {
-			return decoded{}, err
-		}
-		return decoded{kind: env.Kind, nodeID: nodeID, hello: true}, nil
+		msg.hello = true
 	case MsgRunReport:
-		var rep RunReport
-		if err := decodePayload(env.Payload, &rep); err != nil {
-			return decoded{}, err
-		}
-		if err := bindSender(bound, rep.NodeID); err != nil {
-			return decoded{}, err
-		}
-		return decoded{kind: env.Kind, nodeID: rep.NodeID,
-			reports: []vettedReport{a.vetReport(&rep)}}, nil
+		msg.reports = []vettedReport{a.vetReport(req.report)}
 	case MsgLearnUpload:
-		var up LearnUpload
-		if err := decodePayload(env.Payload, &up); err != nil {
-			return decoded{}, err
-		}
-		if err := bindSender(bound, up.NodeID); err != nil {
-			return decoded{}, err
-		}
 		// The learn span covers the lock-free unmarshal+vet — the
 		// aggregator's share of the learning stage's work — and the
 		// quarantine drop too: a rejected upload is still the learning
 		// stage doing its (cheap) work.
 		lsp := a.tr.Start("learn")
 		defer lsp.Finish()
-		msg := decoded{kind: env.Kind, nodeID: up.NodeID}
-		if a.peekQuarantined(up.NodeID, sp) {
+		if a.peekQuarantined(msg.nodeID, sp) {
 			return msg, nil
 		}
-		db, err := daikon.UnmarshalDB(up.DB)
+		db, err := daikon.UnmarshalDB(req.learn.DB)
 		if err != nil {
 			return decoded{}, err
 		}
 		msg.dbs = []vettedDB{a.vetDB(db)}
-		return msg, nil
 	case MsgRecording:
-		var up RecordingUpload
-		if err := decodePayload(env.Payload, &up); err != nil {
-			return decoded{}, err
-		}
-		if err := bindSender(bound, up.NodeID); err != nil {
-			return decoded{}, err
-		}
-		msg := decoded{kind: env.Kind, nodeID: up.NodeID}
-		if a.peekQuarantined(up.NodeID, sp) {
+		if a.peekQuarantined(msg.nodeID, sp) {
 			return msg, nil
 		}
-		rec, err := replay.Unmarshal(up.Recording)
+		rec, err := replay.Unmarshal(req.rec.Recording)
 		if err != nil {
 			return decoded{}, err
 		}
-		msg.recs = []vettedRec{a.vetRecording(rec, up.Recording)}
-		return msg, nil
+		msg.recs = []vettedRec{a.vetRecording(rec, req.rec.Recording)}
 	case MsgBatch:
-		var b Batch
-		if err := decodePayload(env.Payload, &b); err != nil {
-			return decoded{}, err
-		}
-		if batchAggregated(&b) {
+		b := req.batch
+		if batchAggregated(b) {
 			return decoded{}, fmt.Errorf("community: aggregator %s cannot relay an aggregated batch", a.conf.ID)
 		}
-		if err := bindSender(bound, b.NodeID); err != nil {
-			return decoded{}, err
-		}
-		msg := decoded{kind: env.Kind, nodeID: b.NodeID}
-		if a.peekQuarantined(b.NodeID, sp) {
+		if a.peekQuarantined(msg.nodeID, sp) {
 			return msg, nil
 		}
 		// Decode every payload before buffering anything, mirroring the
@@ -363,10 +329,8 @@ func (a *Aggregator) decode(env Envelope, bound *string, sp *obs.Span) (decoded,
 			}
 			msg.reports = append(msg.reports, a.vetReport(&b.Reports[i]))
 		}
-		return msg, nil
-	default:
-		return decoded{}, fmt.Errorf("community: aggregator %s: unexpected message %v", a.conf.ID, env.Kind)
 	}
+	return msg, nil
 }
 
 // vetReport runs the static report check (when armed) outside a.mu.
@@ -463,11 +427,7 @@ func (a *Aggregator) apply(msg decoded, sp *obs.Span) (nodeID string, epoch uint
 // unprotected newcomer's failure demote a community-adopted repair. Its
 // real directives arrive with the next flush. Called with a.mu held.
 func (a *Aggregator) cachedDirectives(nodeID string) (Envelope, error) {
-	d, ok := a.dirs[nodeID]
-	if !ok {
-		d = Directives{}
-	}
-	return directivesEnvelope(d)
+	return NewEnvelope(MsgDirectives, a.dirs[nodeID])
 }
 
 // bufferReportVetted queues one pre-vetted run report for the next flush,
@@ -721,10 +681,11 @@ func (a *Aggregator) flushHoldingFlushMu(sp *obs.Span) error {
 	if reply.Kind != MsgDirectivesSet {
 		return fmt.Errorf("community: aggregator %s: unexpected reply %v", a.conf.ID, reply.Kind)
 	}
-	var set DirectivesSet
-	if err := decodePayload(reply.Payload, &set); err != nil {
+	v, err := decodePayload(MsgDirectivesSet, reply.Payload)
+	if err != nil {
 		return err
 	}
+	set := v.(*DirectivesSet)
 
 	done = sp.Block("agg.mu")
 	a.mu.Lock()

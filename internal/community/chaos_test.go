@@ -9,6 +9,7 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/obs"
 	"repro/internal/redteam"
+	"repro/internal/replay"
 	"repro/internal/vm"
 	"repro/internal/webapp"
 )
@@ -369,6 +370,78 @@ func TestFlushExactlyOnceAcrossRetry(t *testing.T) {
 	}
 	if got := m.Uploads(); got != 2 {
 		t.Fatalf("manager merged %d uploads after second flush, want 2", got)
+	}
+}
+
+// TestFlushDuplicateWaitsForOriginal: a re-sent flush that reaches the
+// manager on a fresh connection while the first copy is still being
+// applied is answered only after that copy lands, so the directives it
+// carries back never predate the snapshot it repeats. The first copy is
+// held in its recording vetting by occupying every vet slot.
+func TestFlushDuplicateWaitsForOriginal(t *testing.T) {
+	app := webapp.MustBuild()
+	m, err := NewManager(ManagerConfig{Image: app.Image, VetReports: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A healthy run relabelled as a failure: it passes the static checks
+	// and only vetting (a replay) rejects it, quarantining its capturer.
+	rec, _, err := replay.Record("n0/forged", app.Image, redteam.EvaluationPages()[0], nil, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Outcome = vm.OutcomeFailure
+	rec.Failure = &vm.Failure{PC: app.Image.Entry, Monitor: "MemoryFirewall", Kind: "forged"}
+	raw, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnvelope(MsgBatch, Batch{
+		NodeID: "agg00", Aggregated: true, NodeIDs: []string{"n0"},
+		Recordings: [][]byte{raw}, RecordingFrom: []string{"n0"}, FlushSeq: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() Conn {
+		c, mgrSide := Pipe()
+		go func() { _ = m.Serve(mgrSide) }()
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+
+	for i := 0; i < cap(m.vetSem); i++ {
+		m.vetSem <- struct{}{}
+	}
+	first := dial()
+	if err := first.Send(env); err != nil {
+		t.Fatal(err)
+	}
+	for claimed := false; !claimed; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		claimed = m.flushing["agg00"] != nil
+		m.mu.Unlock()
+	}
+	second := dial()
+	if err := second.Send(env); err != nil {
+		t.Fatal(err)
+	}
+	second.(RecvTimeouter).SetRecvTimeout(100 * time.Millisecond)
+	if reply, err := second.Recv(); !IsTimeout(err) {
+		t.Fatalf("the duplicate was answered (%v, %v) while its snapshot was still being applied", reply.Kind, err)
+	}
+	for i := 0; i < cap(m.vetSem); i++ {
+		<-m.vetSem
+	}
+	second.(RecvTimeouter).SetRecvTimeout(0)
+	if reply, err := second.Recv(); err != nil || reply.Kind != MsgDirectivesSet {
+		t.Fatalf("duplicate answered %v, %v", reply.Kind, err)
+	}
+	if m.Quarantined()["n0"] == "" {
+		t.Fatal("the duplicate's answer predates its snapshot's recording vetting")
+	}
+	if _, err := first.Recv(); err != nil {
+		t.Fatal(err)
 	}
 }
 

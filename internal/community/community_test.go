@@ -31,7 +31,7 @@ func startManager(t *testing.T, conf ManagerConfig, nodeIDs []string) (*Manager,
 
 // redTeamManagerConfig is the exercise setup: pre-learned seed DB and the
 // CFG bootstrap from the learning corpus.
-func redTeamManagerConfig(t *testing.T, app *webapp.App) ManagerConfig {
+func redTeamManagerConfig(t testing.TB, app *webapp.App) ManagerConfig {
 	t.Helper()
 	db, _, err := core.Learn(app.Image, core.LearnConfig{
 		Inputs: [][]byte{redteam.LearningCorpus()},
@@ -47,7 +47,7 @@ func redTeamManagerConfig(t *testing.T, app *webapp.App) ManagerConfig {
 	}
 }
 
-func exploitByID(t *testing.T, id string) redteam.Exploit {
+func exploitByID(t testing.TB, id string) redteam.Exploit {
 	t.Helper()
 	for _, ex := range redteam.AllExploits() {
 		if ex.Bugzilla == id {

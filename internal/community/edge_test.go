@@ -132,18 +132,3 @@ func TestLearnShardsCoverImage(t *testing.T) {
 		t.Errorf("shards end at %#x, image ends at %#x", hi[2], app.Image.End())
 	}
 }
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	rep := RunReport{NodeID: "x", Seq: 7, Outcome: 1, Failure: &FailureInfo{PC: 0x42, Stack: []uint32{1, 2}}}
-	env, err := NewEnvelope(MsgRunReport, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got RunReport
-	if err := decodePayload(env.Payload, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.NodeID != "x" || got.Seq != 7 || got.Failure.PC != 0x42 || len(got.Failure.Stack) != 2 {
-		t.Errorf("round trip lost data: %+v", got)
-	}
-}

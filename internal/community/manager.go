@@ -221,7 +221,11 @@ type Manager struct {
 	// lastFlush tracks the highest FlushSeq applied per aggregator, so a
 	// re-sent flush snapshot (retry across a lost reply, or a duplicated
 	// envelope) is answered but never applied twice. See Batch.FlushSeq.
-	lastFlush   map[string]uint64
+	lastFlush map[string]uint64
+	// flushing holds, per aggregator, a channel closed once the flush
+	// snapshot lastFlush names has been applied; a duplicate of it waits
+	// on the channel before it is answered.
+	flushing    map[string]chan struct{}
 	trustedAggs map[string]bool // nil = any sender may aggregate
 	imgWire     []byte          // the protected image's wire form, for recording identity checks
 
@@ -267,6 +271,7 @@ func NewManager(conf ManagerConfig) (*Manager, error) {
 		recordings:  make(map[uint32]*replay.Recording),
 		quarantined: make(map[string]string),
 		lastFlush:   make(map[string]uint64),
+		flushing:    make(map[string]chan struct{}),
 		imgWire:     conf.Image.Marshal(),
 		vetSem:      make(chan struct{}, vetWorkers),
 		tr:          conf.Obs,
@@ -346,73 +351,33 @@ func (m *Manager) handle(env Envelope, bound *string) (Envelope, error) {
 	m.cMessages.Inc()
 	sp := m.tr.Start("mgr.handle")
 	defer sp.Finish()
-	switch env.Kind {
+	req, err := decodeRequest(env, bound)
+	if err != nil {
+		return Envelope{}, err
+	}
+	switch req.kind {
 	case MsgHello:
-		nodeID, err := decodeHello(env.Payload)
-		if err != nil {
-			return Envelope{}, err
-		}
-		if err := bindSender(bound, nodeID); err != nil {
-			return Envelope{}, err
-		}
 		done := sp.Block("mgr.mu")
 		m.mu.Lock()
 		done()
-		m.registerLocked(nodeID)
+		m.registerLocked(req.sender)
 		m.mu.Unlock()
-		return m.directivesFor(nodeID)
 	case MsgLearnUpload:
-		var up LearnUpload
-		if err := decodePayload(env.Payload, &up); err != nil {
-			return Envelope{}, err
-		}
-		if err := bindSender(bound, up.NodeID); err != nil {
-			return Envelope{}, err
-		}
-		if err := m.mergeLearnDB(up.NodeID, up.DB); err != nil {
-			return Envelope{}, err
-		}
-		return m.directivesFor(up.NodeID)
+		err = m.mergeLearnDB(req.sender, req.learn.DB)
 	case MsgRunReport:
-		var rep RunReport
-		if err := decodePayload(env.Payload, &rep); err != nil {
-			return Envelope{}, err
-		}
-		if err := bindSender(bound, rep.NodeID); err != nil {
-			return Envelope{}, err
-		}
-		m.processReport(&rep)
-		return m.directivesFor(rep.NodeID)
+		m.processReport(req.report)
 	case MsgRecording:
-		var up RecordingUpload
-		if err := decodePayload(env.Payload, &up); err != nil {
-			return Envelope{}, err
-		}
-		if err := bindSender(bound, up.NodeID); err != nil {
-			return Envelope{}, err
-		}
-		if err := m.ingestRecordings(up.NodeID, [][]byte{up.Recording}); err != nil {
-			return Envelope{}, err
-		}
-		return m.directivesFor(up.NodeID)
+		err = m.ingestRecordings(req.sender, [][]byte{req.rec.Recording})
 	case MsgBatch:
-		var b Batch
-		if err := decodePayload(env.Payload, &b); err != nil {
-			return Envelope{}, err
-		}
-		if err := bindSender(bound, b.NodeID); err != nil {
-			return Envelope{}, err
-		}
-		if err := m.handleBatch(&b, sp); err != nil {
-			return Envelope{}, err
-		}
-		if batchAggregated(&b) {
-			return m.directivesSetFor(b.NodeIDs)
-		}
-		return m.directivesFor(b.NodeID)
-	default:
-		return Envelope{}, fmt.Errorf("community: unexpected message %v", env.Kind)
+		err = m.handleBatch(req.batch, sp)
 	}
+	if err != nil {
+		return Envelope{}, err
+	}
+	if req.batch != nil && batchAggregated(req.batch) {
+		return m.directivesSetFor(req.batch.NodeIDs)
+	}
+	return m.directivesFor(req.sender)
 }
 
 // registerLocked hands a first-seen node its learning shard. Called with
@@ -669,14 +634,24 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 		// sender retrying across a lost reply, or a faulty wire delivering
 		// the envelope twice) is acknowledged — handle still answers with
 		// the members' current directives — but applied zero more times.
+		// A duplicate that races the copy still being applied (a retry on
+		// a fresh connection) waits for it, so its answer never predates
+		// the snapshot it repeats.
 		m.mu.Lock()
 		dup := m.lastFlush[b.NodeID] >= b.FlushSeq
+		applying := m.flushing[b.NodeID]
 		if !dup {
 			m.lastFlush[b.NodeID] = b.FlushSeq
+			applied := make(chan struct{})
+			m.flushing[b.NodeID] = applied
+			defer m.flushApplied(b.NodeID, applied)
 		}
 		m.mu.Unlock()
 		if dup {
 			m.cBatches.Inc()
+			if applying != nil {
+				<-applying
+			}
 			return nil
 		}
 	}
@@ -775,6 +750,17 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 	return nil
 }
 
+// flushApplied marks an aggregator's flush snapshot applied, releasing
+// any duplicate of it waiting to be answered.
+func (m *Manager) flushApplied(sender string, applied chan struct{}) {
+	m.mu.Lock()
+	if m.flushing[sender] == applied {
+		delete(m.flushing, sender)
+	}
+	m.mu.Unlock()
+	close(applied)
+}
+
 // processReport advances every failure case with one node run, following
 // the same rules as the single-machine pipeline.
 func (m *Manager) processReport(rep *RunReport) {
@@ -836,7 +822,7 @@ func (m *Manager) processReportLocked(rep *RunReport) {
 			if entry == nil {
 				break
 			}
-			id := entry.Repair.ID()
+			id := entry.ID
 			failed := (rep.Failure != nil && failPC == c.pc) ||
 				rep.Outcome == uint8(vm.OutcomeCrash) ||
 				(rep.Outcome == uint8(vm.OutcomeExit) && rep.ExitCode != 0)
@@ -1139,7 +1125,7 @@ func (m *Manager) directivesFor(nodeID string) (Envelope, error) {
 	d := m.directivesLocked(nodeID)
 	m.mu.Unlock()
 	sp.Finish()
-	return directivesEnvelope(d)
+	return NewEnvelope(MsgDirectives, d)
 }
 
 // directivesSetFor snapshots the current patch set for every listed node

@@ -17,6 +17,7 @@ import (
 // engine. Those nodes always run genuinely.
 type execMemo struct {
 	entries map[string]*memoEntry
+	key     []byte // scratch for the lookup key
 	hits    int
 	misses  int
 	genuine int
@@ -50,13 +51,15 @@ func (e *execMemo) run(n *Node, input []byte) (vm.RunResult, RunReport, []byte, 
 		e.genuine++
 		return n.runLocal(input)
 	}
-	// The key masks Seq: the report echoes it but execution ignores it, so
-	// directives differing only by sequence number share an entry. dirKey
-	// is collision-free, so distinct directive sets never do.
+	// The key is the directives' wire encoding followed by the input. It
+	// masks Seq: the report echoes it but execution ignores it, so
+	// directives differing only by sequence number share an entry. The
+	// encoding is self-delimiting and injective, so distinct directive
+	// sets never do.
 	masked := *dir
 	masked.Seq = 0
-	key := dirKey(&masked) + "\x00" + string(input)
-	if ent, hit := e.entries[key]; hit {
+	e.key = append(appendDirectives(e.key[:0], &masked), input...)
+	if ent, hit := e.entries[string(e.key)]; hit {
 		e.hits++
 		e.cHits.Inc()
 		rep := ent.rep
@@ -73,6 +76,6 @@ func (e *execMemo) run(n *Node, input []byte) (vm.RunResult, RunReport, []byte, 
 	ent := &memoEntry{res: res, rep: rep}
 	ent.rep.NodeID = ""
 	ent.rep.Seq = 0
-	e.entries[key] = ent
+	e.entries[string(e.key)] = ent
 	return res, rep, raw, nil
 }

@@ -106,13 +106,7 @@ func (n *Node) nextToken() uint64 {
 }
 
 // Connect registers with the manager and fetches initial directives.
-func (n *Node) Connect() error {
-	env, err := helloEnvelope(n.ID)
-	if err != nil {
-		return err
-	}
-	return n.roundTrip(env)
-}
+func (n *Node) Connect() error { return n.Sync() }
 
 // Attach re-homes the node onto a replacement transport — a sibling
 // aggregator after its own crashed, or the same manager after a network
@@ -166,14 +160,11 @@ func (n *Node) roundTripOnce(sp *obs.Span, env Envelope) (sent bool, err error) 
 	}
 	switch reply.Kind {
 	case MsgDirectives:
-		// decodeDirectives hands back a fresh value: gob merges into
-		// existing structures (zero fields are omitted on the wire and keep
-		// their old bytes on decode), so reusing n.dir would let directives
-		// from a previous phase bleed into this one.
-		dir, err := decodeDirectives(reply.Payload)
+		v, err := decodePayload(MsgDirectives, reply.Payload)
 		if err != nil {
 			return true, err
 		}
+		dir := v.(*Directives)
 		if n.rt != nil && dir.Seq < n.dir.Seq {
 			// Resilient nodes keep their newest directives: a reconnect may
 			// land on an aggregator whose cache has not seen this node since
@@ -183,7 +174,7 @@ func (n *Node) roundTripOnce(sp *obs.Span, env Envelope) (sent bool, err error) 
 			// sequence, so the manager still credits them correctly.
 			return true, nil
 		}
-		n.dir = dir
+		n.dir = *dir
 		return true, nil
 	case MsgAck:
 		return true, nil
@@ -278,7 +269,7 @@ func (n *Node) roundTripResilient(sp *obs.Span, env Envelope) error {
 // itself re-learns the member) and whose reply refreshes the directive
 // cache, so protection survives a lost reply or a reconnect.
 func (n *Node) resyncEnvelope() (Envelope, error) {
-	env, err := helloEnvelope(n.ID)
+	env, err := NewEnvelope(MsgHello, Hello{NodeID: n.ID})
 	env.Token = n.nextToken()
 	return env, err
 }
@@ -304,7 +295,7 @@ func (n *Node) Directives() Directives { return n.dir }
 
 // Sync pulls the manager's current directives.
 func (n *Node) Sync() error {
-	env, err := helloEnvelope(n.ID)
+	env, err := NewEnvelope(MsgHello, Hello{NodeID: n.ID})
 	if err != nil {
 		return err
 	}

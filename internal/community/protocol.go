@@ -12,8 +12,6 @@
 package community
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/correlate"
@@ -171,8 +169,8 @@ type Batch struct {
 	// snapshot at most once per sender: a re-sent or duplicated flush —
 	// a resilient aggregator retrying across a lost reply, or a faulty
 	// wire delivering the envelope twice — is answered with fresh
-	// directives but never double-counts the region's reports. Zero (the
-	// legacy wire form) disables the dedupe.
+	// directives but never double-counts the region's reports. Zero (an
+	// aggregator without a retry policy) disables the dedupe.
 	FlushSeq uint64
 }
 
@@ -219,33 +217,13 @@ type DirectivesSet struct {
 // Envelope frames one message on the wire.
 type Envelope struct {
 	Kind    MsgKind // payload discriminator
-	Payload []byte  // gob-encoded message of that kind
+	Payload []byte  // the message of that kind, in the wire codec's form (wire.go)
 	// Token correlates a reply with its request: servers echo the request's
 	// token verbatim. Resilient clients stamp each request with a fresh
 	// token and discard replies carrying any other — the stray reply a
 	// duplicated request produces would otherwise shift the
-	// request/response framing off by one forever. Zero (the legacy wire
-	// form: gob omits it) means "uncorrelated" and is matched by zero.
+	// request/response framing off by one forever. Zero means
+	// "uncorrelated" and is matched by zero: a client without a retry
+	// policy never stamps one.
 	Token uint64
-}
-
-func encodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodePayload(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
-// NewEnvelope builds an envelope for a payload value.
-func NewEnvelope(kind MsgKind, v any) (Envelope, error) {
-	p, err := encodePayload(v)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("community: encode %v: %w", kind, err)
-	}
-	return Envelope{Kind: kind, Payload: p}, nil
 }

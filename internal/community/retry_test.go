@@ -37,7 +37,7 @@ func (c *scriptedConn) Recv() (Envelope, error) {
 		c.fails--
 		return Envelope{}, c.recvErr
 	}
-	reply, err := directivesEnvelope(Directives{})
+	reply, err := NewEnvelope(MsgDirectives, Directives{})
 	reply.Token = c.last.Token
 	return reply, err
 }

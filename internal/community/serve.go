@@ -14,6 +14,49 @@ type endpoint struct {
 	conns  *connSet // nil: the tier never severs its connections
 }
 
+// request is one inbound envelope after the half of handling every tier
+// shares: its payload decoded for its kind, and the connection bound to
+// the sender the payload claims. The payload field for kind is set; a
+// Hello carries only its sender.
+type request struct {
+	kind   MsgKind
+	sender string
+	learn  *LearnUpload
+	report *RunReport
+	rec    *RecordingUpload
+	batch  *Batch
+}
+
+// decodeRequest is the shared half of a tier's handler: decode the
+// payload and bind the sender (see bindSender). What a tier then does
+// with the request — its quarantine peek, its vetting, its action — is
+// its own.
+func decodeRequest(env Envelope, bound *string) (request, error) {
+	v, err := decodePayload(env.Kind, env.Payload)
+	if err != nil {
+		return request{}, err
+	}
+	req := request{kind: env.Kind}
+	switch p := v.(type) {
+	case *Hello:
+		req.sender = p.NodeID
+	case *LearnUpload:
+		req.sender, req.learn = p.NodeID, p
+	case *RunReport:
+		req.sender, req.report = p.NodeID, p
+	case *RecordingUpload:
+		req.sender, req.rec = p.NodeID, p
+	case *Batch:
+		req.sender, req.batch = p.NodeID, p
+	default:
+		return request{}, fmt.Errorf("community: unexpected message %v", env.Kind)
+	}
+	if err := bindSender(bound, req.sender); err != nil {
+		return request{}, err
+	}
+	return req, nil
+}
+
 // answer applies one envelope and returns the reply with the request
 // token echoed (see Envelope.Token). bound is the connection's pinned
 // sender identity (see bindSender).

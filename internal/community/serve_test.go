@@ -17,7 +17,7 @@ func TestLoopbackSeveredLikePipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, err := helloEnvelope("n0")
+	hello, err := NewEnvelope(MsgHello, Hello{NodeID: "n0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -594,11 +594,14 @@ type SimReport struct {
 // under the same directives share one execution through a memo. That is
 // the shape for 100k nodes and beyond. The Parallel* shapes need real
 // concurrency and are rejected.
-func SimulateSoak(conf SoakConfig) (*SimReport, error) {
+func SimulateSoak(conf SoakConfig) (*SimReport, error) { return simulateSoak(conf, loopback) }
+
+// simulateSoak is SimulateSoak over a given synchronous transport.
+func simulateSoak(conf SoakConfig, connect func(endpoint) Conn) (*SimReport, error) {
 	if conf.ParallelMembers || conf.ParallelFlush {
 		return nil, fmt.Errorf("community: a simulated soak is serial; the Parallel* shapes need real concurrency")
 	}
-	r, err := newSoakRig(conf, loopback)
+	r, err := newSoakRig(conf, connect)
 	if err != nil {
 		return nil, err
 	}

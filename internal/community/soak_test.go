@@ -8,7 +8,7 @@ import (
 )
 
 // soakConfig assembles a small soak over real Red Team scenarios.
-func soakConfig(t *testing.T, app *webapp.App, nodes int, batched bool) SoakConfig {
+func soakConfig(t testing.TB, app *webapp.App, nodes int, batched bool) SoakConfig {
 	t.Helper()
 	mc := redTeamManagerConfig(t, app)
 	var attacks []SoakAttack

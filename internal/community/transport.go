@@ -1,8 +1,10 @@
 package community
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -133,12 +135,28 @@ func (c *pipeConn) Close() error {
 
 // ---- TCP transport ----
 
+// A TCP frame is a 13-byte header — the envelope's kind (1 byte), its
+// token (8 bytes) and its payload length (4 bytes), little-endian — then
+// the payload.
+const tcpHeaderLen = 13
+
+// maxEnvelopeBytes caps one envelope's payload on the TCP wire. Recv
+// checks the header's length against it before reading or allocating the
+// payload, so a peer cannot make a receiver buffer more; Send refuses to
+// frame a larger one. The largest envelope the soaks produce is a ~170 KB
+// aggregated batch (a 200-node hierarchical soak with 50 recorders; the
+// 1,000-node soak's reaches ~168 KB), so the cap leaves ~390x headroom.
+const maxEnvelopeBytes = 64 << 20
+
 type tcpConn struct {
 	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	w   *bufio.Writer
+	r   *bufio.Reader
 	sMu sync.Mutex
 	rMu sync.Mutex
+	// broken, once set, fails every Recv: a receive that failed partway
+	// through a frame leaves the stream unframed.
+	broken error
 	// recvTimeout/sendTimeout bound each op in nanoseconds (0 = no
 	// deadline). Atomics for the same reason as pipeConn's.
 	recvTimeout atomic.Int64
@@ -153,7 +171,7 @@ type tcpConn struct {
 const defaultTCPSendTimeout = 2 * time.Minute
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+	return &tcpConn{c: c, w: bufio.NewWriter(c), r: bufio.NewReader(c)}
 }
 
 // SetRecvTimeout bounds every subsequent Recv (0 = wait forever).
@@ -164,6 +182,9 @@ func (t *tcpConn) SetRecvTimeout(d time.Duration) { t.recvTimeout.Store(int64(d)
 func (t *tcpConn) SetSendTimeout(d time.Duration) { t.sendTimeout.Store(int64(d)) }
 
 func (t *tcpConn) Send(e Envelope) error {
+	if len(e.Payload) > maxEnvelopeBytes {
+		return fmt.Errorf("community: tcp send: %v payload of %d bytes exceeds the %d-byte cap", e.Kind, len(e.Payload), maxEnvelopeBytes)
+	}
 	t.sMu.Lock()
 	defer t.sMu.Unlock()
 	d := time.Duration(t.sendTimeout.Load())
@@ -173,22 +194,60 @@ func (t *tcpConn) Send(e Envelope) error {
 	if err := t.c.SetWriteDeadline(time.Now().Add(d)); err != nil {
 		return fmt.Errorf("community: tcp send deadline: %w", err)
 	}
-	return t.enc.Encode(e)
+	var hdr [tcpHeaderLen]byte
+	hdr[0] = byte(e.Kind)
+	binary.LittleEndian.PutUint64(hdr[1:], e.Token)
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(e.Payload)))
+	_, _ = t.w.Write(hdr[:])
+	_, _ = t.w.Write(e.Payload)
+	return t.w.Flush() // a failed write sticks in the writer; Flush reports it
 }
 
+// Recv reads one frame. A receive that fails before the frame's first
+// byte (a deadline expiring on an idle wire) leaves the stream intact and
+// returns the transport's error as is, so IsTimeout sees it. One that
+// fails partway through a frame, or meets a payload over the cap, breaks
+// the connection for good.
 func (t *tcpConn) Recv() (Envelope, error) {
 	t.rMu.Lock()
 	defer t.rMu.Unlock()
+	if t.broken != nil {
+		return Envelope{}, t.broken
+	}
+	e, partial, err := t.readFrame()
+	if err != nil && partial {
+		t.broken = fmt.Errorf("community: tcp recv: stream broken mid-frame: %v", err)
+		return Envelope{}, t.broken
+	}
+	return e, err
+}
+
+// readFrame is Recv's body, called with t.rMu held; partial reports an
+// error after the frame's first byte.
+func (t *tcpConn) readFrame() (e Envelope, partial bool, err error) {
 	var deadline time.Time // zero = wait forever
 	if d := time.Duration(t.recvTimeout.Load()); d > 0 {
 		deadline = time.Now().Add(d)
 	}
 	if err := t.c.SetReadDeadline(deadline); err != nil {
-		return Envelope{}, fmt.Errorf("community: tcp recv deadline: %w", err)
+		return Envelope{}, false, fmt.Errorf("community: tcp recv deadline: %w", err)
 	}
-	var e Envelope
-	err := t.dec.Decode(&e)
-	return e, err
+	var hdr [tcpHeaderLen]byte
+	if n, err := io.ReadFull(t.r, hdr[:]); err != nil {
+		return Envelope{}, n > 0, err
+	}
+	e = Envelope{Kind: MsgKind(hdr[0]), Token: binary.LittleEndian.Uint64(hdr[1:])}
+	size := binary.LittleEndian.Uint32(hdr[9:])
+	if size > maxEnvelopeBytes {
+		return Envelope{}, true, fmt.Errorf("%v payload of %d bytes exceeds the %d-byte cap", e.Kind, size, maxEnvelopeBytes)
+	}
+	if size > 0 {
+		e.Payload = make([]byte, size)
+		if _, err := io.ReadFull(t.r, e.Payload); err != nil {
+			return Envelope{}, true, err
+		}
+	}
+	return e, false, nil
 }
 
 func (t *tcpConn) Close() error { return t.c.Close() }

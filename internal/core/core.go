@@ -183,7 +183,7 @@ func (c *FailureCase) CurrentRepairID() string {
 	if c.Current == nil {
 		return ""
 	}
-	return c.Current.Repair.ID()
+	return c.Current.ID
 }
 
 // ClearView protects one application instance.
@@ -373,7 +373,7 @@ func (cv *ClearView) afterRun(res vm.RunResult, elapsed time.Duration) {
 				break
 			}
 			fc.Metrics.RepairRunTime += elapsed
-			repairID := fc.Current.Repair.ID()
+			repairID := fc.Current.ID
 			switch {
 			case res.Failure != nil && failPC == fc.PC:
 				// The failure recurred with the repair in place.

@@ -20,7 +20,7 @@ func (c *FailureCase) Report() string {
 	fmt.Fprintf(&b, "  location: %#x\n", c.PC)
 	fmt.Fprintf(&b, "  status:   %s", c.State)
 	if c.Current != nil {
-		fmt.Fprintf(&b, " (deployed: %s)", c.Current.Repair.ID())
+		fmt.Fprintf(&b, " (deployed: %s)", c.Current.ID)
 	}
 	b.WriteString("\n")
 	if len(c.Stack) > 0 {
@@ -55,7 +55,7 @@ func (c *FailureCase) Report() string {
 			if c.Current != nil && e == c.Current {
 				marker = "*"
 			}
-			fmt.Fprintf(&b, "   %s %-56s s=%d f=%d\n", marker, e.Repair.ID(), e.Successes, e.Failures)
+			fmt.Fprintf(&b, "   %s %-56s s=%d f=%d\n", marker, e.ID, e.Successes, e.Failures)
 		}
 	}
 	fmt.Fprintf(&b, "  checks executed: %d (%d violations); unsuccessful repair runs: %d\n",

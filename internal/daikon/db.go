@@ -54,7 +54,24 @@ func (db *DB) index() {
 		db.byPC[pc] = append(db.byPC[pc], inv)
 	}
 	for _, list := range db.byPC {
-		sort.Slice(list, func(i, j int) bool { return list[i].ID() < list[j].ID() })
+		sortByID(list)
+	}
+}
+
+// sortByID orders invariants by ID, formatting each ID once rather than
+// on both sides of every comparison.
+func sortByID(invs []*Invariant) {
+	type keyed struct {
+		id  string
+		inv *Invariant
+	}
+	ks := make([]keyed, len(invs))
+	for i, inv := range invs {
+		ks[i] = keyed{inv.ID(), inv}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].id < ks[j].id })
+	for i := range ks {
+		invs[i] = ks[i].inv
 	}
 }
 
@@ -90,7 +107,7 @@ func (db *DB) All() []*Invariant {
 	for _, inv := range db.ByID {
 		out = append(out, inv)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	sortByID(out)
 	return out
 }
 

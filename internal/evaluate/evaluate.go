@@ -20,6 +20,7 @@ const DefaultBonus = 1
 // Entry tracks one repair's evaluation state.
 type Entry struct {
 	Repair    *repair.Repair
+	ID        string // Repair.ID(), formatted once by New
 	Successes int
 	Failures  int
 }
@@ -53,12 +54,13 @@ func New(repairs []*repair.Repair, bonus int) *Evaluator {
 	}
 	ev := &Evaluator{Bonus: bonus, byID: make(map[string]*Entry, len(repairs))}
 	for _, r := range repairs {
-		if _, dup := ev.byID[r.ID()]; dup {
+		id := r.ID()
+		if _, dup := ev.byID[id]; dup {
 			continue
 		}
-		e := &Entry{Repair: r}
+		e := &Entry{Repair: r, ID: id}
 		ev.entries = append(ev.entries, e)
-		ev.byID[r.ID()] = e
+		ev.byID[id] = e
 	}
 	return ev
 }

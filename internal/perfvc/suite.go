@@ -168,12 +168,14 @@ func Registry() *Suite {
 			// nodes across per-message / batched / hierarchical modes.
 			{Name: "BenchmarkCommunitySoak", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Info: []string{"msgs", "replays"}},
-			// The simulated soak arm: handler + wire-cache cost for a
+			// The simulated soak arm: handler and wire-codec cost for a
 			// 2k-node hierarchical campaign with churn and adversaries
-			// (the counts are deterministic; timing is the tracked
-			// surface).
+			// (the counts are deterministic). It also gates allocs/op and
+			// B/op: its samples agree to within a few dozen allocations,
+			// so a return to a reflective per-envelope codec (gob cost
+			// ~6M allocations a campaign) fails by name.
 			{Name: "BenchmarkSimSoak", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
-				Class: ClassNoisy, Info: []string{"events", "msgs", "memo-hits"}},
+				Class: ClassNoisy, Gate: []string{"ns/op", "allocs/op", "B/op"}, Info: []string{"events", "msgs", "memo-hits"}},
 		},
 		Excluded: []Exclusion{
 			{Name: "BenchmarkTable3", Package: ".",
