@@ -12,10 +12,12 @@ import (
 
 // doclintPackages are the packages held to the exported-documentation
 // standard (the community protocol and the recording wire format cross
-// trust and process boundaries, so their exported surface is API).
+// trust and process boundaries, and both tiers drive the failure-case
+// lifecycle in internal/core, so their exported surface is API).
 // Extend this list as packages stabilize.
 var doclintPackages = []string{
 	"internal/community",
+	"internal/core",
 	"internal/perfvc",
 	"internal/replay",
 }

@@ -219,10 +219,8 @@ func (a *Aggregator) handle(env Envelope, bound *string) (Envelope, error) {
 // in arrival order — so the first bad item still quarantines the sender
 // and drops the rest of its batch, exactly as the single-phase shape did.
 type decoded struct {
-	kind   MsgKind
+	kind   MsgKind // the envelope's: a Hello registers (maybe a mid-campaign join), the rest carry a batch
 	nodeID string
-
-	hello bool // MsgHello: registration, maybe a mid-campaign join
 
 	reports []vettedReport
 	dbs     []vettedDB
@@ -249,86 +247,65 @@ type vettedRec struct {
 
 // decode is handle's lock-free phase: decode the envelope and bind its
 // sender (decodeRequest, shared with the manager), then unmarshal and
-// statically vet its contents using only immutable config (the image,
-// VetReports). The one piece of mutable state it reads is the sender's
-// quarantine flag, through a short a.mu peek, so a quarantined member's
-// batch still costs the region a map lookup rather than unmarshal work;
-// the peek is advisory (apply re-checks under the lock), it only avoids
-// wasted decoding.
+// statically vet the batch it carries using only immutable config (the
+// image, VetReports). The one piece of mutable state it reads is the
+// sender's quarantine flag, through a short a.mu peek, so a quarantined
+// member's traffic still costs the region a map lookup rather than
+// unmarshal work; the peek is advisory (apply re-checks under the lock),
+// it only avoids wasted decoding.
 func (a *Aggregator) decode(env Envelope, bound *string, sp *obs.Span) (decoded, error) {
-	req, err := decodeRequest(env, bound)
+	sender, b, err := decodeRequest(env, bound)
 	if err != nil {
 		return decoded{}, err
 	}
-	msg := decoded{kind: req.kind, nodeID: req.sender}
-	switch req.kind {
-	case MsgHello:
-		msg.hello = true
-	case MsgRunReport:
-		msg.reports = []vettedReport{a.vetReport(req.report)}
-	case MsgLearnUpload:
-		// The learn span covers the lock-free unmarshal+vet — the
-		// aggregator's share of the learning stage's work — and the
-		// quarantine drop too: a rejected upload is still the learning
-		// stage doing its (cheap) work.
-		lsp := a.tr.Start("learn")
+	msg := decoded{kind: env.Kind, nodeID: sender}
+	if b == nil {
+		return msg, nil
+	}
+	if batchAggregated(b) {
+		return decoded{}, fmt.Errorf("community: aggregator %s cannot relay an aggregated batch", a.conf.ID)
+	}
+	// The learn span covers the aggregator's share of the learning stage —
+	// the lock-free unmarshal and vet of the batch's uploads — and a
+	// quarantine drop too: a rejected upload is still the learning stage
+	// doing its (cheap) work.
+	var lsp *obs.Span
+	if len(b.LearnDBs) > 0 {
+		lsp = a.tr.Start("learn")
 		defer lsp.Finish()
-		if a.peekQuarantined(msg.nodeID, sp) {
-			return msg, nil
-		}
-		db, err := daikon.UnmarshalDB(req.learn.DB)
+	}
+	if a.peekQuarantined(msg.nodeID, sp) {
+		return msg, nil
+	}
+	// Decode every payload before buffering anything, as the manager's
+	// handleBatch does: a malformed item rejects the batch whole rather
+	// than shipping its earlier items upstream half-applied.
+	for _, raw := range b.LearnDBs {
+		db, err := daikon.UnmarshalDB(raw)
 		if err != nil {
 			return decoded{}, err
 		}
-		msg.dbs = []vettedDB{a.vetDB(db)}
-	case MsgRecording:
-		if a.peekQuarantined(msg.nodeID, sp) {
-			return msg, nil
-		}
-		rec, err := replay.Unmarshal(req.rec.Recording)
+		msg.dbs = append(msg.dbs, a.vetDB(db))
+	}
+	lsp.Finish()
+	for _, raw := range b.Recordings {
+		rec, err := replay.Unmarshal(raw)
 		if err != nil {
 			return decoded{}, err
 		}
-		msg.recs = []vettedRec{a.vetRecording(rec, req.rec.Recording)}
-	case MsgBatch:
-		b := req.batch
-		if batchAggregated(b) {
-			return decoded{}, fmt.Errorf("community: aggregator %s cannot relay an aggregated batch", a.conf.ID)
+		msg.recs = append(msg.recs, a.vetRecording(rec, raw))
+	}
+	for i := range b.Reports {
+		if b.Reports[i].NodeID != b.NodeID {
+			// A member batch may only report the member's own runs: a
+			// report claiming a peer's identity is a framing attempt —
+			// under VetReports its sanity-check verdict would land on the
+			// named peer — and is dropped before any check can quarantine
+			// anyone.
+			a.cRejects.Inc()
+			continue
 		}
-		if a.peekQuarantined(msg.nodeID, sp) {
-			return msg, nil
-		}
-		// Decode every payload before buffering anything, mirroring the
-		// manager's handleBatch: a malformed item rejects the batch whole
-		// rather than shipping its earlier items upstream half-applied.
-		for _, raw := range b.LearnDBs {
-			lsp := a.tr.Start("learn")
-			db, err := daikon.UnmarshalDB(raw)
-			lsp.Finish()
-			if err != nil {
-				return decoded{}, err
-			}
-			msg.dbs = append(msg.dbs, a.vetDB(db))
-		}
-		for _, raw := range b.Recordings {
-			rec, err := replay.Unmarshal(raw)
-			if err != nil {
-				return decoded{}, err
-			}
-			msg.recs = append(msg.recs, a.vetRecording(rec, raw))
-		}
-		for i := range b.Reports {
-			if b.Reports[i].NodeID != b.NodeID {
-				// A member batch may only report the member's own runs: a
-				// report claiming a peer's identity is a framing attempt —
-				// under VetReports its sanity-check verdict would land on
-				// the named peer — and is dropped before any check can
-				// quarantine anyone.
-				a.cRejects.Inc()
-				continue
-			}
-			msg.reports = append(msg.reports, a.vetReport(&b.Reports[i]))
-		}
+		msg.reports = append(msg.reports, a.vetReport(&b.Reports[i]))
 	}
 	return msg, nil
 }
@@ -394,7 +371,7 @@ func (a *Aggregator) apply(msg decoded, sp *obs.Span) (nodeID string, epoch uint
 	done()
 	defer a.mu.Unlock()
 	epoch = a.epoch
-	if msg.hello {
+	if msg.kind == MsgHello {
 		// Mid-campaign means a flush snapshot has been taken (epoch > 0),
 		// not that one has completed: a joiner arriving while the very
 		// first flush's round trip is in flight is already too late for

@@ -85,19 +85,66 @@ func TestStaleReportIgnored(t *testing.T) {
 	failure := &FailureInfo{PC: site, Monitor: "MemoryFirewall", Stack: []uint32{}}
 
 	// First report opens the case (any seq).
-	m.processReport(&RunReport{NodeID: "n", Seq: 0, Outcome: uint8(vm.OutcomeFailure), Failure: failure})
+	deliverReport(t, m, RunReport{NodeID: "n", Seq: 0, Outcome: uint8(vm.OutcomeFailure), Failure: failure})
 	if st := m.CaseStates()[site]; st != core.StateChecking {
 		t.Fatalf("state = %v", st)
 	}
 	// Stale failing reports (seq 0 < the case's phase) must not count as
 	// checking runs no matter how many arrive.
 	for i := 0; i < 5; i++ {
-		m.processReport(&RunReport{NodeID: "n", Seq: 0, Outcome: uint8(vm.OutcomeFailure), Failure: failure})
+		deliverReport(t, m, RunReport{NodeID: "n", Seq: 0, Outcome: uint8(vm.OutcomeFailure), Failure: failure})
 	}
 	if st := m.CaseStates()[site]; st != core.StateChecking {
 		t.Fatalf("stale reports advanced the campaign to %v", st)
 	}
 	_ = ex
+}
+
+// TestAdoptedRepairDemotedCommunityWide: a community-adopted repair that
+// stops working is demoted, and the demotion opens a new phase — the case
+// returns to evaluation, the adoption is no longer attributed to anyone,
+// and the directive sequence moves on, so a report from a run under the
+// demoted repair cannot re-adopt it.
+func TestAdoptedRepairDemotedCommunityWide(t *testing.T) {
+	app := webapp.MustBuild()
+	m, nodes := startManager(t, redTeamManagerConfig(t, app), []string{"victim"})
+	victim := nodes[0]
+	defer victim.Close()
+	attack := redteam.AttackInput(app, exploitByID(t, "290162"), 0)
+	site := app.Labels["site_290162"]
+	for i := 0; i < 10 && m.CaseStates()[site] != core.StatePatched; i++ {
+		if _, err := victim.RunOnce(attack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Adoptions()[site] != "victim" {
+		t.Fatalf("setup: case %v, adoptions %v", m.CaseStates()[site], m.Adoptions())
+	}
+	if err := victim.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	seq := victim.Directives().Seq
+
+	// The failure recurs under the adopted repair.
+	failure := &FailureInfo{PC: site, Monitor: "MemoryFirewall", Stack: []uint32{}}
+	deliverReport(t, m, RunReport{NodeID: "victim", Seq: seq, Outcome: uint8(vm.OutcomeFailure), Failure: failure})
+	if st := m.CaseStates()[site]; st != core.StateEvaluating {
+		t.Fatalf("after the adopted repair failed the case is %v, want evaluating", st)
+	}
+	if _, ok := m.Adoptions()[site]; ok {
+		t.Fatal("a demoted repair is still reported as adopted")
+	}
+	// A surviving run under the demoted repair's directives is stale.
+	deliverReport(t, m, RunReport{NodeID: "victim", Seq: seq, Outcome: uint8(vm.OutcomeExit)})
+	if st := m.CaseStates()[site]; st != core.StateEvaluating {
+		t.Fatalf("a report from the demoted phase moved the case to %v", st)
+	}
+	if err := victim.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := victim.Directives().Seq; got <= seq {
+		t.Fatalf("demotion left the directive sequence at %d (was %d)", got, seq)
+	}
 }
 
 func TestLearnShardsCoverImage(t *testing.T) {
@@ -130,5 +177,19 @@ func TestLearnShardsCoverImage(t *testing.T) {
 	}
 	if hi[2] < app.Image.End() {
 		t.Errorf("shards end at %#x, image ends at %#x", hi[2], app.Image.End())
+	}
+}
+
+// deliverReport hands m one run report as a single MsgRunReport, through
+// the handler every connection's envelopes take.
+func deliverReport(t *testing.T, m *Manager, rep RunReport) {
+	t.Helper()
+	env, err := NewEnvelope(MsgRunReport, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := rep.NodeID
+	if _, err := m.handle(env, &bound); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/evaluate"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/repair"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
@@ -96,27 +95,22 @@ type ManagerConfig struct {
 	Obs *obs.Tracer
 }
 
-// caseState is the manager-side failure-location state machine, mirroring
-// the single-machine pipeline in internal/core but driven by node reports.
+// caseState is one failure location at the manager. The lifecycle is
+// core.FailureCase's, driven by member reports instead of local runs; what
+// caseState adds is the community's own state around it: the phase
+// sequence, per-node assignments, adoption attribution, and the index
+// that vets inbound observations.
 type caseState struct {
-	id    string
-	pc    uint32
-	state core.CaseState
+	fc *core.FailureCase
 
 	// phaseSeq is the directive sequence at which the case entered its
 	// current phase; reports from runs under older directives did not
 	// carry this phase's patches and are ignored for this case.
 	phaseSeq uint64
 
-	cands []correlate.Candidate
 	// candIDs indexes the candidate invariant IDs, for vetting inbound
 	// observations against the checks the manager actually issued.
-	candIDs   map[string]bool
-	runs      []correlate.RunLog
-	detected  int
-	repairs   []*repair.Repair
-	evaluator *evaluate.Evaluator
-	current   *evaluate.Entry
+	candIDs map[string]bool
 	// adoptedBy is the node whose surviving report promoted the current
 	// repair to StatePatched ("" before adoption, or for farm-only
 	// adoption paths); the soak uses it to prove quarantined nodes never
@@ -168,17 +162,15 @@ func (c *caseState) clearAssignments() {
 // assignFor picks the repair a node should evaluate: the node keeps its
 // assignment within a phase; new nodes take the best not-yet-assigned
 // candidate, wrapping around when there are more nodes than candidates.
+// Called only while the case is evaluating or patched.
 func (c *caseState) assignFor(nodeID string) *evaluate.Entry {
-	if c.state == core.StatePatched || c.evaluator == nil {
-		return c.current
+	if c.fc.State == core.StatePatched {
+		return c.fc.Current
 	}
 	if e, ok := c.assigned[nodeID]; ok {
 		return e
 	}
-	ranked := c.evaluator.Ranked()
-	if len(ranked) == 0 {
-		return nil
-	}
+	ranked := c.fc.Evaluator.Ranked()
 	var pick *evaluate.Entry
 	for _, e := range ranked {
 		if c.taken[e] == 0 && e.Failures == 0 {
@@ -197,13 +189,15 @@ func (c *caseState) assignFor(nodeID string) *evaluate.Entry {
 // reacts to failure notifications, pushes checking and repair patches, and
 // evaluates repairs from the community's reports (§3.2).
 type Manager struct {
-	conf  ManagerConfig
-	mu    sync.Mutex
-	inv   *daikon.DB
-	cfgdb *cfg.DB
-	cases map[uint32]*caseState
-	order []uint32
-	seq   uint64
+	conf ManagerConfig
+	mu   sync.Mutex
+	// lifecycle is what every failure case's steps read: the image, the
+	// community invariant database (uploads merge into it), the CFG
+	// database and the pipeline knobs.
+	lifecycle core.Config
+	cases     map[uint32]*caseState
+	order     []uint32
+	seq       uint64
 
 	nodes     map[string]int // node id -> learning shard
 	nextShard int
@@ -248,9 +242,6 @@ func NewManager(conf ManagerConfig) (*Manager, error) {
 	if conf.Image == nil {
 		return nil, fmt.Errorf("community: nil image")
 	}
-	if conf.StackScope <= 0 {
-		conf.StackScope = 1
-	}
 	if conf.CheckRuns <= 0 {
 		conf.CheckRuns = 2
 	}
@@ -262,10 +253,21 @@ func NewManager(conf ManagerConfig) (*Manager, error) {
 	if reg == nil {
 		reg = obs.New()
 	}
+	seed := conf.Seed
+	if seed == nil {
+		seed = daikon.NewDB()
+	}
 	m := &Manager{
-		conf:        conf,
-		inv:         conf.Seed,
-		cfgdb:       cfg.NewDB(conf.Image),
+		conf: conf,
+		lifecycle: core.Config{
+			Image:      conf.Image,
+			Invariants: seed,
+			CFG:        cfg.NewDB(conf.Image),
+			StackScope: conf.StackScope,
+			CheckRuns:  conf.CheckRuns,
+			Bonus:      conf.Bonus,
+			Obs:        conf.Obs,
+		},
 		cases:       make(map[uint32]*caseState),
 		nodes:       make(map[string]int),
 		recordings:  make(map[uint32]*replay.Recording),
@@ -289,13 +291,10 @@ func NewManager(conf ManagerConfig) (*Manager, error) {
 			m.trustedAggs[id] = true
 		}
 	}
-	if m.inv == nil {
-		m.inv = daikon.NewDB()
-	}
 	for _, input := range conf.BootstrapInputs {
 		machine, err := vm.New(vm.Config{
 			Image:   conf.Image,
-			Plugins: []vm.Plugin{cfg.NewPlugin(m.cfgdb)},
+			Plugins: []vm.Plugin{cfg.NewPlugin(m.lifecycle.CFG)},
 			Input:   input,
 		})
 		if err != nil {
@@ -310,7 +309,7 @@ func NewManager(conf ManagerConfig) (*Manager, error) {
 func (m *Manager) InvariantCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.inv.Len()
+	return m.lifecycle.Invariants.Len()
 }
 
 // Uploads returns how many learning uploads have been merged.
@@ -331,7 +330,7 @@ func (m *Manager) CaseStates() map[uint32]core.CaseState {
 	defer m.mu.Unlock()
 	out := make(map[uint32]core.CaseState, len(m.cases))
 	for pc, c := range m.cases {
-		out[pc] = c.state
+		out[pc] = c.fc.State
 	}
 	return out
 }
@@ -347,37 +346,36 @@ func (m *Manager) Serve(conn Conn) error { return m.endpoint().serve(conn) }
 // severs its connections, so it tracks none.
 func (m *Manager) endpoint() endpoint { return endpoint{handle: m.handle} }
 
+// handle applies one envelope: a Hello registers its sender; everything
+// else arrives as a batch (decodeRequest wraps a single report, upload or
+// recording as a one-item member batch). Batches counts MsgBatch
+// envelopes only.
 func (m *Manager) handle(env Envelope, bound *string) (Envelope, error) {
 	m.cMessages.Inc()
 	sp := m.tr.Start("mgr.handle")
 	defer sp.Finish()
-	req, err := decodeRequest(env, bound)
+	sender, b, err := decodeRequest(env, bound)
 	if err != nil {
 		return Envelope{}, err
 	}
-	switch req.kind {
-	case MsgHello:
+	if b == nil {
 		done := sp.Block("mgr.mu")
 		m.mu.Lock()
 		done()
-		m.registerLocked(req.sender)
+		m.registerLocked(sender)
 		m.mu.Unlock()
-	case MsgLearnUpload:
-		err = m.mergeLearnDB(req.sender, req.learn.DB)
-	case MsgRunReport:
-		m.processReport(req.report)
-	case MsgRecording:
-		err = m.ingestRecordings(req.sender, [][]byte{req.rec.Recording})
-	case MsgBatch:
-		err = m.handleBatch(req.batch, sp)
+		return m.directivesFor(sender)
 	}
-	if err != nil {
+	if err := m.handleBatch(b, sp); err != nil {
 		return Envelope{}, err
 	}
-	if req.batch != nil && batchAggregated(req.batch) {
-		return m.directivesSetFor(req.batch.NodeIDs)
+	if env.Kind == MsgBatch {
+		m.cBatches.Inc()
 	}
-	return m.directivesFor(req.sender)
+	if batchAggregated(b) {
+		return m.directivesSetFor(b.NodeIDs)
+	}
+	return m.directivesFor(sender)
 }
 
 // registerLocked hands a first-seen node its learning shard. Called with
@@ -405,26 +403,6 @@ func (m *Manager) isQuarantined(nodeID string) bool {
 	return m.quarantined[nodeID] != ""
 }
 
-// mergeLearnDB folds one serialized node database into the community
-// database, attributing it to nodeID for quarantine purposes.
-func (m *Manager) mergeLearnDB(nodeID string, raw []byte) error {
-	sp := m.tr.Start("learn")
-	defer sp.Finish()
-	if m.isQuarantined(nodeID) {
-		return nil
-	}
-	db, err := daikon.UnmarshalDB(raw)
-	if err != nil {
-		return err
-	}
-	done := sp.Block("mgr.mu")
-	m.mu.Lock()
-	done()
-	m.mergeDBFrom(nodeID, db)
-	m.mu.Unlock()
-	return nil
-}
-
 // mergeDBFrom sanity-checks and folds a decoded database in, quarantining
 // the sender on a poisoned upload ("" attributes nothing: a bad pre-merged
 // aggregate is rejected and counted, since the offender was the
@@ -448,38 +426,19 @@ func (m *Manager) mergeDBFrom(nodeID string, db *daikon.DB) {
 
 // mergeDB folds a decoded node database in. Called with m.mu held.
 func (m *Manager) mergeDB(db *daikon.DB) {
-	if m.inv.Len() == 0 && len(m.inv.VarsSeen) == 0 {
-		m.inv = db
+	if inv := m.lifecycle.Invariants; inv.Len() == 0 && len(inv.VarsSeen) == 0 {
+		m.lifecycle.Invariants = db
 	} else {
-		m.inv.Merge(db, daikon.DefaultMaxOneOf)
+		inv.Merge(db, daikon.DefaultMaxOneOf)
 	}
 	m.cUploads.Inc()
 }
 
-// ingestRecordings stores failing-run recordings (latest wins per failure
-// location) and runs the replay fast path once per distinct location —
-// not once per recording, which is the batching win: a hundred nodes
-// shipping the same deterministic failure cost one farm pass.
-func (m *Manager) ingestRecordings(nodeID string, raws [][]byte) error {
-	if m.isQuarantined(nodeID) {
-		return nil // dropped before any decode; see isQuarantined
-	}
-	recs := make([]*replay.Recording, 0, len(raws))
-	senders := make([]string, 0, len(raws))
-	for _, raw := range raws {
-		rec, err := replay.Unmarshal(raw)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, rec)
-		senders = append(senders, nodeID)
-	}
-	m.ingestDecoded(recs, senders)
-	return nil
-}
-
 // ingestDecoded vets and stores decoded recordings (senders is parallel to
-// recs) and fast-paths each distinct failure location once. Called WITHOUT
+// recs) and, with ReplayWorkers set, runs each distinct failure location's
+// replay fast path (core.FailureCase.Replay) once — not once per
+// recording, which is the batching win: a hundred nodes shipping the same
+// deterministic failure cost one farm pass. Called WITHOUT
 // m.mu held: the static checks and the final stores run under the lock,
 // but the farm-backed vetting — the only step bounded by wall clock rather
 // than work — runs outside it, so an adversarial recording crafted to
@@ -575,9 +534,39 @@ func (m *Manager) ingestDecoded(recs []*replay.Recording, senders []string) {
 	}
 	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
 	for _, pc := range pcs {
-		m.replayFastPath(pc)
+		if c := m.cases[pc]; c != nil && m.conf.ReplayWorkers != 0 {
+			m.replayLocked(c, m.recordings[pc])
+		}
 	}
 	m.mu.Unlock()
+}
+
+// replayLocked runs c's replay fast path on rec: the manager holds the
+// same binary the community runs, so it fills the checking run log the
+// nodes would otherwise take live executions to produce, and the farm
+// judges every candidate before any node is asked to evaluate one in
+// production. Finishing the checks opens a new phase, and so do farm
+// verdicts: the candidate ranking changed, so in-flight reports must not
+// be credited against the new assignments.
+//
+// These replays run under m.mu, but only for vetted recordings and with
+// bounded work: checkRecordingStatic caps the claimed step budget at one
+// honest run's (maxVetSteps), checking replays at most CheckRuns times,
+// and each farm replay carries vetDeadline — a candidate whose replay
+// overruns it yields an Err verdict, which is no evidence either way, so
+// live evaluation decides. The fast path costs at most a short, fixed
+// burst per distinct failure location, not an attacker-controlled stall.
+func (m *Manager) replayLocked(c *caseState, rec *replay.Recording) {
+	farm := &replay.Farm{Workers: max(m.conf.ReplayWorkers, 0), Deadline: vetDeadline, Obs: m.tr}
+	checking, runs := c.fc.State == core.StateChecking, c.fc.Metrics.ReplayRuns
+	ranked := c.fc.Replay(rec, farm)
+	m.cReplayRuns.Add(int64(c.fc.Metrics.ReplayRuns - runs))
+	if checking && c.fc.State != core.StateChecking {
+		m.newPhase(c)
+	}
+	if ranked {
+		m.newPhase(c)
+	}
 }
 
 // vetDeadline bounds each recording vet in wall clock. A recording crafted
@@ -648,7 +637,6 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 		}
 		m.mu.Unlock()
 		if dup {
-			m.cBatches.Inc()
 			if applying != nil {
 				<-applying
 			}
@@ -660,7 +648,6 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 		// map-lookup cost, before any payload is unmarshalled. (The
 		// locked section below re-checks, in case quarantine lands
 		// between here and there.)
-		m.cBatches.Inc()
 		return nil
 	}
 
@@ -714,7 +701,6 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 	done := sp.Block("mgr.mu")
 	m.mu.Lock()
 	done()
-	m.cBatches.Inc()
 	m.cRejects.Add(int64(unattributed + misattributed))
 	if !aggregated && m.quarantined[b.NodeID] != "" {
 		m.mu.Unlock()
@@ -740,11 +726,13 @@ func (m *Manager) handleBatch(b *Batch, sp *obs.Span) error {
 		}
 		lsp.Finish()
 	}
-	esp := m.tr.Start("evaluate")
-	for i := range reports {
-		m.processReportLocked(&reports[i])
+	if len(reports) > 0 {
+		esp := m.tr.Start("evaluate")
+		for i := range reports {
+			m.applyReport(&reports[i])
+		}
+		esp.Finish()
 	}
-	esp.Finish()
 	m.mu.Unlock()
 	m.ingestDecoded(recs, senders)
 	return nil
@@ -761,20 +749,11 @@ func (m *Manager) flushApplied(sender string, applied chan struct{}) {
 	close(applied)
 }
 
-// processReport advances every failure case with one node run, following
-// the same rules as the single-machine pipeline.
-func (m *Manager) processReport(rep *RunReport) {
-	sp := m.tr.Start("evaluate")
-	defer sp.Finish()
-	done := sp.Block("mgr.mu")
-	m.mu.Lock()
-	done()
-	defer m.mu.Unlock()
-	m.processReportLocked(rep)
-}
-
-// processReportLocked is processReport's body. Called with m.mu held.
-func (m *Manager) processReportLocked(rep *RunReport) {
+// applyReport advances every failure case with one member run, through
+// the same core.FailureCase steps a ClearView instance takes with its own
+// runs, and opens a case for a failure at a new location. Called with m.mu
+// held.
+func (m *Manager) applyReport(rep *RunReport) {
 	if rep.NodeID == "" {
 		m.cRejects.Inc() // anonymous reports have no accountable sender
 		return
@@ -788,10 +767,6 @@ func (m *Manager) processReportLocked(rep *RunReport) {
 			return
 		}
 	}
-	var failPC uint32
-	if rep.Failure != nil {
-		failPC = rep.Failure.PC
-	}
 
 	obsByFailure := map[string][]correlate.Observation{}
 	for _, o := range rep.Observations {
@@ -804,204 +779,62 @@ func (m *Manager) processReportLocked(rep *RunReport) {
 			// The node ran without this phase's patches installed.
 			continue
 		}
-		switch c.state {
+		fc := c.fc
+		recurred := rep.Failure != nil && rep.Failure.PC == fc.PC
+		switch fc.State {
 		case core.StateChecking:
-			detected := rep.Failure != nil && failPC == c.pc
-			c.runs = append(c.runs, correlate.RunLog{
-				Detected: detected,
-				Obs:      obsByFailure[c.id],
-			})
-			if detected {
-				c.detected++
-			}
-			if c.detected >= m.conf.CheckRuns {
-				m.finishChecking(c)
+			fc.RecordCheckRun(recurred, obsByFailure[fc.ID])
+			if fc.State != core.StateChecking {
+				m.newPhase(c)
 			}
 		case core.StateEvaluating, core.StatePatched:
-			entry := c.assignFor(rep.NodeID)
-			if entry == nil {
-				break
-			}
-			id := entry.ID
-			failed := (rep.Failure != nil && failPC == c.pc) ||
-				rep.Outcome == uint8(vm.OutcomeCrash) ||
-				(rep.Outcome == uint8(vm.OutcomeExit) && rep.ExitCode != 0)
+			was := fc.State
+			fc.RecordRepairRun(c.assignFor(rep.NodeID), recurred, vm.Outcome(rep.Outcome), rep.ExitCode)
 			switch {
-			case failed && c.state == core.StatePatched:
-				// The adopted, community-wide patch stopped working:
-				// demote it and reopen the evaluation phase.
-				c.evaluator.RecordFailure(id)
-				m.redeploy(c)
-			case failed:
+			case was == core.StatePatched && fc.State != core.StatePatched:
+				// The adopted, community-wide patch stopped working: it is
+				// demoted and the evaluation reopens.
+				m.newPhase(c)
+				c.adoptedBy = ""
+			case fc.State == core.StatePatched && was == core.StateEvaluating:
+				// Adopted: the repair that survived, possibly one a peer
+				// node was evaluating, not the global best.
+				c.clearAssignments()
+				c.adoptedBy = rep.NodeID
+				m.cAdoptions.Inc()
+			case fc.State != core.StatePatched:
 				// One node's candidate failed. Only that node is
 				// reassigned; peers evaluating other candidates in the
 				// same round keep reporting (the §3 parallelism).
-				c.evaluator.RecordFailure(id)
 				c.unassign(rep.NodeID)
-				if c.evaluator.Exhausted() {
-					c.state = core.StateUnrepaired
-					c.current = nil
-					c.clearAssignments()
-				} else {
-					c.current = c.evaluator.Best()
-				}
-			default:
-				c.evaluator.RecordSuccess(id)
-				if c.state == core.StateEvaluating {
-					// Adopt the repair that survived — possibly one a
-					// peer node was evaluating, not the global best.
-					c.state = core.StatePatched
-					c.current = entry
-					c.clearAssignments()
-					c.adoptedBy = rep.NodeID
-					m.cAdoptions.Inc()
-				}
 			}
 		}
 	}
 
-	if rep.Failure != nil {
-		if _, known := m.cases[failPC]; !known {
-			m.openCase(rep.Failure)
+	if rep.Failure == nil {
+		return
+	}
+	if _, known := m.cases[rep.Failure.PC]; !known {
+		c := &caseState{fc: core.OpenCase(&m.lifecycle, rep.Failure.PC, rep.Failure.Stack)}
+		c.candIDs = make(map[string]bool, len(c.fc.Candidates))
+		for _, cand := range c.fc.Candidates {
+			c.candIDs[cand.Inv.ID()] = true
 		}
+		m.newPhase(c)
+		m.cases[c.fc.PC] = c
+		m.order = append(m.order, c.fc.PC)
 	}
 }
 
-func (m *Manager) openCase(f *FailureInfo) {
-	m.seq++
-	c := &caseState{
-		id:       fmt.Sprintf("fail@%#x", f.PC),
-		pc:       f.PC,
-		state:    core.StateChecking,
-		phaseSeq: m.seq,
-	}
-	c.cands = correlate.SelectCandidates(
-		m.inv, m.cfgdb, f.PC, f.Stack,
-		correlate.Config{StackScope: m.conf.StackScope},
-	)
-	c.candIDs = make(map[string]bool, len(c.cands))
-	for _, cand := range c.cands {
-		c.candIDs[cand.Inv.ID()] = true
-	}
-	if len(c.cands) == 0 {
-		c.state = core.StateUnrepaired
-	}
-	m.cases[f.PC] = c
-	m.order = append(m.order, f.PC)
-}
-
-func (m *Manager) finishChecking(c *caseState) {
-	sp := m.tr.Start("correlate")
-	defer sp.Finish()
-	m.seq++
-	c.phaseSeq = m.seq
-	corr := correlate.Classify(c.runs)
-	selected := correlate.SelectForRepair(c.cands, corr)
-	c.repairs = repair.GenerateAll(selected, m.conf.Image.InstAt, m.inv.SPOffsetAt)
-	c.evaluator = evaluate.New(c.repairs, m.conf.Bonus)
-	if c.evaluator.Len() == 0 {
-		c.state = core.StateUnrepaired
-		return
-	}
-	c.state = core.StateEvaluating
-	c.current = c.evaluator.Best()
-}
-
-func (m *Manager) redeploy(c *caseState) {
-	m.seq++
-	c.phaseSeq = m.seq
-	c.clearAssignments() // new phase: reassign candidates to nodes
-	c.adoptedBy = ""
-	if c.evaluator.Exhausted() {
-		c.state = core.StateUnrepaired
-		c.current = nil
-		return
-	}
-	c.state = core.StateEvaluating
-	c.current = c.evaluator.Best()
-}
-
-// replayFastPath advances the failure case at pc using its recording —
-// the community mirror of internal/core's fast path. Called with m.mu
-// held, after a recording arrives. While the case is checking, the
-// manager replays the recording under the checking patches itself (it
-// holds the same binary the community runs), filling the run log the
-// nodes would otherwise take live executions to produce; once candidates
-// exist, the farm judges all of them before any node is asked to
-// evaluate one in production.
-//
-// These replays run under the lock, but only for vetted recordings and
-// with bounded work: checkRecordingStatic caps the claimed step budget at
-// one honest run's (maxVetSteps), the checking loop runs at most CheckRuns
-// replays, and farmSeed's per-candidate replays carry vetDeadline — so the
-// fast path costs at most a short, fixed burst per distinct failure
-// location, not an attacker-controlled stall.
-func (m *Manager) replayFastPath(pc uint32) {
-	if m.conf.ReplayWorkers == 0 {
-		return
-	}
-	c := m.cases[pc]
-	rec := m.recordings[pc]
-	if c == nil || rec == nil {
-		return
-	}
-	sp := m.tr.Start("farm")
-	defer sp.Finish()
-	if c.state == core.StateChecking {
-		cs := correlate.BuildCheckSet(c.id, c.cands)
-		for c.detected < m.conf.CheckRuns {
-			cs.StartRun()
-			res, err := rec.Replay(cs.Patches, c.id)
-			if err != nil {
-				return
-			}
-			runObs := cs.DrainRun()
-			if res.Failure == nil || res.Failure.PC != c.pc {
-				return // replay does not reproduce: leave it to live runs
-			}
-			c.detected++
-			c.runs = append(c.runs, correlate.RunLog{Detected: true, Obs: runObs})
-			m.cReplayRuns.Inc()
-		}
-		m.finishChecking(c)
-	}
-	if c.state != core.StateEvaluating || c.evaluator == nil || len(c.repairs) == 0 {
-		return
-	}
-	m.farmSeed(c, rec, sp)
-}
-
-// farmSeed judges every candidate repair against the recording and folds
-// the verdicts into the evaluator, so nodes are only ever assigned
-// repairs that survived the recorded failure. Opens a new phase: the
-// candidate ranking changed, so in-flight reports must not be credited
-// against the new assignments. The farm carries vetDeadline because this
-// runs under m.mu: a candidate whose replay overruns it yields an Err
-// verdict, which replay.Apply skips — no evidence either way, live
-// evaluation decides.
-func (m *Manager) farmSeed(c *caseState, rec *replay.Recording, sp *obs.Span) {
-	workers := m.conf.ReplayWorkers
-	if workers < 0 {
-		workers = 0 // Farm interprets 0 as GOMAXPROCS
-	}
-	farm := &replay.Farm{Workers: workers, Deadline: vetDeadline, Obs: m.tr}
-	// The calling goroutine parks on the farm's result channel while the
-	// workers replay; under m.mu that park is the convoy the stage table
-	// exists to expose, so it is attributed explicitly.
-	wait := sp.Block("farm.fanout")
-	verdicts := farm.Evaluate(rec, c.id, c.repairs)
-	wait()
-	replay.Apply(verdicts, c.evaluator)
-	m.cReplayRuns.Add(int64(len(verdicts)))
+// newPhase starts a new phase of c at a fresh directive sequence: reports
+// from runs under an earlier phase's patches stop counting for c, and
+// every node is reassigned on its next contact. A case's phases start when
+// it opens, when its checking finishes, when farm verdicts re-rank its
+// candidates, and when its adopted repair is demoted.
+func (m *Manager) newPhase(c *caseState) {
 	m.seq++
 	c.phaseSeq = m.seq
 	c.clearAssignments()
-	if c.evaluator.Exhausted() {
-		c.state = core.StateUnrepaired
-		c.current = nil
-		return
-	}
-	c.current = c.evaluator.Best()
 }
 
 // RecordingCount returns how many failure locations have a recording.
@@ -1074,7 +907,7 @@ func (m *Manager) checkLearnDB(db *daikon.DB) string {
 // held.
 func (m *Manager) caseByID(id string) *caseState {
 	for _, pc := range m.order {
-		if c := m.cases[pc]; c.id == id {
+		if c := m.cases[pc]; c.fc.ID == id {
 			return c
 		}
 	}
@@ -1109,7 +942,7 @@ func (m *Manager) Adoptions() map[uint32]string {
 	defer m.mu.Unlock()
 	out := make(map[uint32]string)
 	for pc, c := range m.cases {
-		if c.state == core.StatePatched {
+		if c.fc.State == core.StatePatched {
 			out[pc] = c.adoptedBy
 		}
 	}
@@ -1157,32 +990,21 @@ func (m *Manager) directivesLocked(nodeID string) Directives {
 	quarantined := m.quarantined[nodeID] != ""
 	d := Directives{Seq: m.seq}
 	for _, pc := range m.order {
-		c := m.cases[pc]
-		switch c.state {
+		fc := m.cases[pc].fc
+		switch fc.State {
 		case core.StateChecking:
-			for _, cand := range c.cands {
+			for _, cand := range fc.Candidates {
 				d.Checks = append(d.Checks, CheckSpec{
-					FailureID: c.id,
+					FailureID: fc.ID,
 					Invariant: *cand.Inv,
 				})
 			}
 		case core.StateEvaluating, core.StatePatched:
-			entry := c.current
+			entry := fc.Current
 			if !quarantined {
-				entry = c.assignFor(nodeID)
+				entry = m.cases[pc].assignFor(nodeID)
 			}
-			if entry != nil {
-				r := entry.Repair
-				d.Repairs = append(d.Repairs, RepairSpec{
-					FailureID: c.id,
-					Invariant: *r.Inv,
-					Strategy:  r.Strategy,
-					Value:     r.Value,
-					SPDelta:   r.SPDelta,
-					PC:        r.PC,
-					Depth:     r.Depth,
-				})
-			}
+			d.Repairs = append(d.Repairs, replay.Spec(fc.ID, entry.Repair))
 		}
 	}
 	if shard, ok := m.nodes[nodeID]; ok && shard >= 0 && m.conf.LearnShards > 0 {

@@ -97,7 +97,7 @@ func TestUnknownMonitorReportRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	site := app.Labels["site_290162"]
-	m.processReport(&RunReport{
+	deliverReport(t, m, RunReport{
 		NodeID: "liar", Seq: 0, Outcome: uint8(vm.OutcomeFailure),
 		Failure: &FailureInfo{PC: site, Monitor: "TotallyRealGuard"},
 	})
@@ -109,7 +109,7 @@ func TestUnknownMonitorReportRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2.processReport(&RunReport{
+	deliverReport(t, m2, RunReport{
 		NodeID: "honest", Seq: 0, Outcome: uint8(vm.OutcomeFailure),
 		Failure: &FailureInfo{PC: site, Monitor: "MemoryFirewall", Stack: []uint32{}},
 	})

@@ -7,7 +7,6 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/repair"
 	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -325,16 +324,7 @@ func (n *Node) compile() ([]*vm.Patch, []*correlate.CheckSet) {
 
 	for i := range n.dir.Repairs {
 		spec := &n.dir.Repairs[i]
-		inv := spec.Invariant
-		r := &repair.Repair{
-			Inv:      &inv,
-			Strategy: spec.Strategy,
-			Value:    spec.Value,
-			SPDelta:  spec.SPDelta,
-			PC:       spec.PC,
-			Depth:    spec.Depth,
-		}
-		patches = append(patches, r.BuildPatches(spec.FailureID)...)
+		patches = append(patches, spec.Repair().BuildPatches(spec.FailureID)...)
 	}
 	return patches, sets
 }
@@ -492,22 +482,9 @@ func (n *Node) RunBatch(inputs [][]byte) ([]vm.RunResult, error) {
 // machine — and returns its wire form for a MsgRecording or MsgBatch
 // upload.
 func (n *Node) sealRecording(tape *replay.Tape, input []byte, res vm.RunResult) ([]byte, error) {
-	deployed := make([]replay.PatchSpec, 0, len(n.dir.Repairs))
-	for i := range n.dir.Repairs {
-		spec := &n.dir.Repairs[i]
-		deployed = append(deployed, replay.PatchSpec{
-			FailureID: spec.FailureID,
-			Invariant: spec.Invariant,
-			Strategy:  spec.Strategy,
-			Value:     spec.Value,
-			SPDelta:   spec.SPDelta,
-			PC:        spec.PC,
-			Depth:     spec.Depth,
-		})
-	}
 	rec := tape.Seal(
 		fmt.Sprintf("%s/seq%d", n.ID, n.dir.Seq),
-		n.Image, input, deployed, replay.AllMonitors(), n.maxSteps, res,
+		n.Image, input, n.dir.Repairs, replay.AllMonitors(), n.maxSteps, res,
 	)
 	return rec.Marshal()
 }

@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/correlate"
 	"repro/internal/daikon"
-	"repro/internal/repair"
+	"repro/internal/replay"
 )
 
 // MsgKind discriminates protocol messages.
@@ -180,24 +180,12 @@ type CheckSpec struct {
 	Invariant daikon.Invariant // the invariant to observe
 }
 
-// RepairSpec asks a node to install one repair patch. It carries exactly
-// the fields a node needs to compile the enforcement locally.
-type RepairSpec struct {
-	FailureID string           // the failure case the repair targets
-	Invariant daikon.Invariant // the invariant the repair enforces
-	Strategy  repair.Strategy  // enforcement strategy (§2.5)
-	Value     uint32           // strategy operand (e.g. the set-value constant)
-	SPDelta   uint32           // stack-pointer restore for return-from-procedure
-	PC        uint32           // enforcement site
-	Depth     int              // call-stack depth of the enforcement site
-}
-
 // Directives is the manager's current instruction set for a node. It is
 // idempotent: nodes reconcile their installed patches to match.
 type Directives struct {
-	Seq     uint64       // the manager's directive sequence at snapshot time
-	Checks  []CheckSpec  // invariant checks to install
-	Repairs []RepairSpec // repair patches to install
+	Seq     uint64             // the manager's directive sequence at snapshot time
+	Checks  []CheckSpec        // invariant checks to install
+	Repairs []replay.PatchSpec // repair patches to install, as a recording names them
 	// LearnLo/LearnHi restrict the node's tracing to instruction
 	// addresses in [LearnLo, LearnHi) (0,0 = no learning assignment) —
 	// the amortized distributed learning of §3.1.

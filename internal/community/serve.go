@@ -14,47 +14,36 @@ type endpoint struct {
 	conns  *connSet // nil: the tier never severs its connections
 }
 
-// request is one inbound envelope after the half of handling every tier
-// shares: its payload decoded for its kind, and the connection bound to
-// the sender the payload claims. The payload field for kind is set; a
-// Hello carries only its sender.
-type request struct {
-	kind   MsgKind
-	sender string
-	learn  *LearnUpload
-	report *RunReport
-	rec    *RecordingUpload
-	batch  *Batch
-}
-
-// decodeRequest is the shared half of a tier's handler: decode the
-// payload and bind the sender (see bindSender). What a tier then does
-// with the request — its quarantine peek, its vetting, its action — is
-// its own.
-func decodeRequest(env Envelope, bound *string) (request, error) {
+// decodeRequest is the half of handling every tier shares: decode the
+// payload and bind the connection to the sender it claims (see
+// bindSender). A Hello returns a nil batch. Everything else returns as a
+// batch: a single run report, learning upload or recording is passed on
+// as a one-item member batch, so each tier has one ingest path. What a
+// tier then does with the batch — its quarantine peek, its vetting, its
+// action — is its own.
+func decodeRequest(env Envelope, bound *string) (sender string, b *Batch, err error) {
 	v, err := decodePayload(env.Kind, env.Payload)
 	if err != nil {
-		return request{}, err
+		return "", nil, err
 	}
-	req := request{kind: env.Kind}
 	switch p := v.(type) {
 	case *Hello:
-		req.sender = p.NodeID
-	case *LearnUpload:
-		req.sender, req.learn = p.NodeID, p
-	case *RunReport:
-		req.sender, req.report = p.NodeID, p
-	case *RecordingUpload:
-		req.sender, req.rec = p.NodeID, p
+		sender = p.NodeID
 	case *Batch:
-		req.sender, req.batch = p.NodeID, p
+		sender, b = p.NodeID, p
+	case *RunReport:
+		sender, b = p.NodeID, &Batch{NodeID: p.NodeID, Reports: []RunReport{*p}}
+	case *LearnUpload:
+		sender, b = p.NodeID, &Batch{NodeID: p.NodeID, LearnDBs: [][]byte{p.DB}}
+	case *RecordingUpload:
+		sender, b = p.NodeID, &Batch{NodeID: p.NodeID, Recordings: [][]byte{p.Recording}}
 	default:
-		return request{}, fmt.Errorf("community: unexpected message %v", env.Kind)
+		return "", nil, fmt.Errorf("community: unexpected message %v", env.Kind)
 	}
-	if err := bindSender(bound, req.sender); err != nil {
-		return request{}, err
+	if err := bindSender(bound, sender); err != nil {
+		return "", nil, err
 	}
-	return req, nil
+	return sender, b, nil
 }
 
 // answer applies one envelope and returns the reply with the request

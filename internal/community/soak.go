@@ -10,7 +10,6 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/image"
 	"repro/internal/obs"
-	"repro/internal/repair"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
@@ -243,21 +242,6 @@ func probeFailurePC(img *image.Image, input []byte) (uint32, string, error) {
 		return 0, "", fmt.Errorf("input did not fail under the monitors (outcome %v)", res.Outcome)
 	}
 	return res.Failure.PC, res.Failure.Monitor, nil
-}
-
-// repairSpecID reconstructs the stable repair identifier a RepairSpec
-// denotes, so node directives can be compared for agreement.
-func repairSpecID(spec *RepairSpec) string {
-	inv := spec.Invariant
-	r := repair.Repair{
-		Inv:      &inv,
-		Strategy: spec.Strategy,
-		Value:    spec.Value,
-		SPDelta:  spec.SPDelta,
-		PC:       spec.PC,
-		Depth:    spec.Depth,
-	}
-	return r.ID()
 }
 
 // soakMember is one community member and its soak-side role.
@@ -1026,7 +1010,7 @@ func (r *soakRig) converged(round int) bool {
 		dir := m.n.Directives()
 		for j := range dir.Repairs {
 			spec := &dir.Repairs[j]
-			h.ids[spec.FailureID] = repairSpecID(spec)
+			h.ids[spec.FailureID] = spec.Repair().ID()
 		}
 		return h
 	}

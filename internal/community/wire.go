@@ -9,6 +9,7 @@ import (
 	"repro/internal/correlate"
 	"repro/internal/daikon"
 	"repro/internal/repair"
+	"repro/internal/replay"
 )
 
 // This file is the community wire codec: one hand-written binary form for
@@ -46,7 +47,7 @@ const wireVersion = 1
 const (
 	minInvariant   = 8                // Kind, Var (2), Var2 (2), Values, Bound, Samples
 	minCheckSpec   = 1 + minInvariant // FailureID, Invariant
-	minRepairSpec  = minCheckSpec + 5 // ..., Strategy, Value, SPDelta, PC, Depth
+	minPatchSpec   = minCheckSpec + 5 // ..., Strategy, Value, SPDelta, PC, Depth
 	minObservation = 3                // InvID, FailureID, Satisfied
 	minRunReport   = 6                // NodeID, Seq, Outcome, ExitCode, Failure, Observations
 	minDirectives  = 5                // Seq, Checks, Repairs, LearnLo, LearnHi
@@ -217,7 +218,7 @@ func appendCheck(b []byte, c *CheckSpec) []byte {
 	return appendInvariant(appendString(b, c.FailureID), &c.Invariant)
 }
 
-func appendRepairSpec(b []byte, rs *RepairSpec) []byte {
+func appendPatchSpec(b []byte, rs *replay.PatchSpec) []byte {
 	b = appendInvariant(appendString(b, rs.FailureID), &rs.Invariant)
 	b = append(b, byte(rs.Strategy))
 	b = appendU32(b, rs.Value)
@@ -232,7 +233,7 @@ func appendRepairSpec(b []byte, rs *RepairSpec) []byte {
 func appendDirectives(b []byte, d *Directives) []byte {
 	b = binary.AppendUvarint(b, d.Seq)
 	b = appendList(b, d.Checks, appendCheck)
-	b = appendList(b, d.Repairs, appendRepairSpec)
+	b = appendList(b, d.Repairs, appendPatchSpec)
 	b = appendU32(b, d.LearnLo)
 	return appendU32(b, d.LearnHi)
 }
@@ -431,8 +432,8 @@ func (r *wireReader) check() CheckSpec {
 	return CheckSpec{FailureID: r.str(), Invariant: r.invariant()}
 }
 
-func (r *wireReader) repairSpec() RepairSpec {
-	return RepairSpec{FailureID: r.str(), Invariant: r.invariant(), Strategy: repair.Strategy(r.byte()),
+func (r *wireReader) patchSpec() replay.PatchSpec {
+	return replay.PatchSpec{FailureID: r.str(), Invariant: r.invariant(), Strategy: repair.Strategy(r.byte()),
 		Value: r.u32(), SPDelta: r.u32(), PC: r.u32(), Depth: r.int()}
 }
 
@@ -440,7 +441,7 @@ func (r *wireReader) directives() Directives {
 	return Directives{
 		Seq:     r.uvarint(),
 		Checks:  readList(r, minCheckSpec, r.check),
-		Repairs: readList(r, minRepairSpec, r.repairSpec),
+		Repairs: readList(r, minPatchSpec, r.patchSpec),
 		LearnLo: r.u32(),
 		LearnHi: r.u32(),
 	}

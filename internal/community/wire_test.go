@@ -13,6 +13,7 @@ import (
 	"repro/internal/correlate"
 	"repro/internal/daikon"
 	"repro/internal/repair"
+	"repro/internal/replay"
 	"repro/internal/webapp"
 )
 
@@ -184,9 +185,9 @@ func (g wireGen) directives() Directives {
 		}
 	}
 	if n := g.n(); n >= 0 {
-		d.Repairs = make([]RepairSpec, n)
+		d.Repairs = make([]replay.PatchSpec, n)
 		for i := range d.Repairs {
-			d.Repairs[i] = RepairSpec{
+			d.Repairs[i] = replay.PatchSpec{
 				FailureID: g.str(), Invariant: g.invariant(), Strategy: repair.Strategy(g.Intn(256)),
 				Value: g.u32(), SPDelta: g.u32(), PC: g.u32(), Depth: g.int(),
 			}
@@ -269,9 +270,9 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		{MsgBatch, Batch{Reports: []RunReport{}, Recordings: [][]byte{{}, nil, {1}}, RecordingFrom: []string{""},
 			LearnDBs: [][]byte{}, NodeIDs: []string{}, Quarantined: []string{"q"}, FlushSeq: math.MaxUint64}},
 		{MsgDirectives, Directives{}},
-		{MsgDirectives, Directives{Checks: []CheckSpec{{}}, Repairs: []RepairSpec{{Depth: -1, Invariant: daikon.Invariant{Bound: math.MinInt32, Values: []uint32{}}}}}},
+		{MsgDirectives, Directives{Checks: []CheckSpec{{}}, Repairs: []replay.PatchSpec{{Depth: -1, Invariant: daikon.Invariant{Bound: math.MinInt32, Values: []uint32{}}}}}},
 		{MsgDirectives, Directives{Seq: math.MaxUint64, LearnLo: math.MaxUint32, LearnHi: math.MaxUint32,
-			Repairs: []RepairSpec{{Depth: math.MinInt, Value: math.MaxUint32, SPDelta: math.MaxUint32, PC: math.MaxUint32,
+			Repairs: []replay.PatchSpec{{Depth: math.MinInt, Value: math.MaxUint32, SPDelta: math.MaxUint32, PC: math.MaxUint32,
 				Invariant: daikon.Invariant{Bound: math.MaxInt32, Samples: math.MaxUint64}}}}},
 		{MsgDirectivesSet, DirectivesSet{}},
 		{MsgDirectivesSet, DirectivesSet{ByNode: map[string]Directives{}}},

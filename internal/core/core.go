@@ -17,6 +17,10 @@
 //	        next best is deployed; a surviving run promotes it to the
 //	        adopted patch (evaluation continues for as long as the
 //	        application runs)
+//
+// The state machine is FailureCase's, and it is the only one: the
+// community manager (internal/community) drives the same FailureCase
+// steps with its members' reports in place of local runs.
 package core
 
 import (
@@ -24,22 +28,21 @@ import (
 	"time"
 
 	"repro/internal/cfg"
-	"repro/internal/correlate"
 	"repro/internal/daikon"
-	"repro/internal/evaluate"
 	"repro/internal/image"
-	"repro/internal/monitor"
 	"repro/internal/obs"
-	"repro/internal/repair"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
-// Config assembles a ClearView instance.
+// Config assembles a ClearView instance. Its pipeline fields — the image,
+// the databases, the knobs from StackScope to ReverseRepairOrder, and Obs —
+// are also what every FailureCase step reads, which is how the community
+// manager runs the same lifecycle with a Config of its own.
 type Config struct {
-	Image      *image.Image
-	Invariants *daikon.DB
-	CFG        *cfg.DB // shared CFG database; created if nil
+	Image      *image.Image // the protected binary
+	Invariants *daikon.DB   // the learned invariant database
+	CFG        *cfg.DB      // shared CFG database; created if nil
 
 	// StackScope is the number of call-stack procedures with candidate
 	// invariants to search (§4.3.2); default 1 (the Red Team setting).
@@ -52,21 +55,21 @@ type Config struct {
 
 	// Ablation knobs (benchmarks only; zero values are the paper's
 	// behaviour).
-	DisableSameBlockRestriction bool
-	ReverseRepairOrder          bool
+	DisableSameBlockRestriction bool // admit two-variable invariants outside the frame's block
+	ReverseRepairOrder          bool // invert the §2.6 tie-breaking order
 
 	// Monitor configuration (§4.2.2: the Red Team ran with the first
 	// three; FaultGuard and HangGuard are the extended failure classes).
-	MemoryFirewall bool
-	HeapGuard      bool
-	ShadowStack    bool
-	FaultGuard     bool
-	HangGuard      bool
+	MemoryFirewall bool // illegal-write detection (§2.3)
+	HeapGuard      bool // heap canary checking
+	ShadowStack    bool // return-address integrity
+	FaultGuard     bool // arithmetic faults (divide by zero, unaligned access)
+	HangGuard      bool // runaway-loop step-budget watchdog
 	// HangBudget is HangGuard's step budget; 0 selects
 	// monitor.DefaultHangBudget. Must stay below MaxSteps.
 	HangBudget uint64
 
-	MaxSteps uint64
+	MaxSteps uint64 // step budget of each run; 0 selects vm.DefaultMaxSteps
 
 	// Obs, when set, traces the orchestrator's pipeline stages under the
 	// same names the community uses (node.execute, detect, record.seal,
@@ -110,86 +113,9 @@ type ReplayConfig struct {
 	VetRecordings bool
 }
 
-// CaseState is the lifecycle of one failure location.
-type CaseState uint8
-
-const (
-	// StateChecking: invariant-checking patches are deployed.
-	StateChecking CaseState = iota
-	// StateEvaluating: candidate repairs are being evaluated.
-	StateEvaluating
-	// StatePatched: a successful repair is adopted (and still evaluated).
-	StatePatched
-	// StateUnrepaired: every candidate repair failed; the monitors keep
-	// blocking the attack but the error is not corrected.
-	StateUnrepaired
-)
-
-func (s CaseState) String() string {
-	switch s {
-	case StateChecking:
-		return "checking"
-	case StateEvaluating:
-		return "evaluating"
-	case StatePatched:
-		return "patched"
-	case StateUnrepaired:
-		return "unrepaired"
-	}
-	return fmt.Sprintf("state%d", uint8(s))
-}
-
-// Metrics records the per-phase accounting that Table 3 reports.
-type Metrics struct {
-	DetectRuns      int           // runs to first detection (always 1)
-	CheckRuns       int           // failing runs with checks in place
-	ChecksBuilt     [5]int        // [one-of, lower-bound, less-than, nonzero, modulus] checked
-	CheckExecs      uint64        // total invariant checks executed
-	CheckViolations uint64        // total violations observed
-	RepairsBuilt    [5]int        // correlated [one-of, lower-bound, less-than, nonzero, modulus]
-	CandidateCount  int           // candidate invariants selected
-	RepairCount     int           // candidate repairs generated
-	Unsuccessful    int           // failed repair-evaluation runs
-	ReplayRuns      int           // offline replays (checking + farm)
-	ReplayDiscards  int           // candidates discarded by farm verdicts
-	VetRejects      int           // recordings rejected by pre-replay vetting
-	ReplayTime      time.Duration // wall clock spent in the fast path
-	BuildChecks     time.Duration // analog of "Building Invariant Checks"
-	BuildRepairs    time.Duration // analog of "Building Repair Patches"
-	DetectTime      time.Duration
-	CheckRunTime    time.Duration
-	RepairRunTime   time.Duration
-}
-
-// FailureCase is the state machine for one failure location.
-type FailureCase struct {
-	ID    string
-	PC    uint32
-	State CaseState
-
-	Stack        []uint32
-	Candidates   []correlate.Candidate
-	CheckSet     *correlate.CheckSet
-	Correlations map[string]correlate.Correlation
-	Repairs      []*repair.Repair
-	Evaluator    *evaluate.Evaluator
-	Current      *evaluate.Entry // deployed repair, if any
-
-	Metrics Metrics
-}
-
-// CurrentRepairID returns the deployed repair's ID, or "".
-func (c *FailureCase) CurrentRepairID() string {
-	if c.Current == nil {
-		return ""
-	}
-	return c.Current.ID
-}
-
 // ClearView protects one application instance.
 type ClearView struct {
 	conf  Config
-	cfgdb *cfg.DB
 	cases map[uint32]*FailureCase
 	order []uint32
 
@@ -220,12 +146,10 @@ func New(conf Config) (*ClearView, error) {
 	if conf.CheckRuns <= 0 {
 		conf.CheckRuns = 2
 	}
-	cv := &ClearView{conf: conf, cases: make(map[uint32]*FailureCase), tr: conf.Obs}
-	cv.cfgdb = conf.CFG
-	if cv.cfgdb == nil {
-		cv.cfgdb = cfg.NewDB(conf.Image)
+	if conf.CFG == nil {
+		conf.CFG = cfg.NewDB(conf.Image)
 	}
-	return cv, nil
+	return &ClearView{conf: conf, cases: make(map[uint32]*FailureCase), tr: conf.Obs}, nil
 }
 
 // Cases returns all failure cases in creation order.
@@ -245,27 +169,8 @@ func (cv *ClearView) Case(pc uint32) *FailureCase { return cv.cases[pc] }
 func (cv *ClearView) Execute(input []byte) vm.RunResult {
 	cv.TotalRuns++
 
-	var plugins []vm.Plugin
-	plugins = append(plugins, cfg.NewPlugin(cv.cfgdb))
-	var shadow *monitor.ShadowStack
-	if cv.conf.ShadowStack {
-		shadow = monitor.NewShadowStack()
-		plugins = append(plugins, shadow)
-	}
-	if cv.conf.MemoryFirewall {
-		plugins = append(plugins, monitor.NewMemoryFirewall())
-	}
-	if cv.conf.HeapGuard {
-		plugins = append(plugins, monitor.NewHeapGuard())
-	}
-	if cv.conf.FaultGuard {
-		plugins = append(plugins, monitor.NewFaultGuard())
-	}
-	var hang *monitor.HangGuard
-	if cv.conf.HangGuard {
-		hang = &monitor.HangGuard{Budget: cv.conf.HangBudget}
-		plugins = append(plugins, hang)
-	}
+	mons, shadow, hang := cv.monitors().Plugins()
+	plugins := append([]vm.Plugin{cfg.NewPlugin(cv.conf.CFG)}, mons...)
 
 	var patches []*vm.Patch
 	var deployed []replay.PatchSpec
@@ -276,11 +181,9 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 			fc.CheckSet.StartRun()
 			patches = append(patches, fc.CheckSet.Patches...)
 		case StateEvaluating, StatePatched:
-			if fc.Current != nil {
-				patches = append(patches, fc.Current.Repair.BuildPatches(fc.ID)...)
-				if cv.conf.Replay != nil {
-					deployed = append(deployed, replay.Spec(fc.ID, fc.Current.Repair))
-				}
+			patches = append(patches, fc.Current.Repair.BuildPatches(fc.ID)...)
+			if cv.conf.Replay != nil {
+				deployed = append(deployed, replay.Spec(fc.ID, fc.Current.Repair))
 			}
 		}
 	}
@@ -304,6 +207,7 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 	if err != nil {
 		return vm.RunResult{Outcome: vm.OutcomeCrash, Crash: &vm.Crash{Reason: err.Error()}}
 	}
+	// (*ShadowStack).Install is not nil-safe.
 	if shadow != nil {
 		shadow.Install(machine)
 	}
@@ -325,13 +229,18 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 		)
 		rsp.Finish()
 		cv.LastRecording = rec
-		cv.replayFastPath(rec, res.Failure.PC)
+		cv.replayFastPath(rec, cv.cases[res.Failure.PC])
+	}
+	cv.PatchesGenerated = 0
+	for _, fc := range cv.cases {
+		cv.PatchesGenerated += len(fc.CheckSet.Patches) + len(fc.Repairs)
 	}
 	return res
 }
 
-// monitors reports the configured monitor set in replay form, so
-// recordings replay under the same detectors that produced them.
+// monitors reports the configured monitor set in replay form: the one
+// detector stack a run executes under, and the one its recording replays
+// under.
 func (cv *ClearView) monitors() replay.Monitors {
 	return replay.Monitors{
 		MemoryFirewall: cv.conf.MemoryFirewall,
@@ -343,12 +252,9 @@ func (cv *ClearView) monitors() replay.Monitors {
 	}
 }
 
+// afterRun feeds one live run to every failure case and opens a case for
+// a failure at a new location.
 func (cv *ClearView) afterRun(res vm.RunResult, elapsed time.Duration) {
-	failPC := uint32(0)
-	if res.Failure != nil {
-		failPC = res.Failure.PC
-	}
-
 	var esp *obs.Span
 	if len(cv.order) > 0 {
 		esp = cv.tr.Start("evaluate")
@@ -357,138 +263,30 @@ func (cv *ClearView) afterRun(res vm.RunResult, elapsed time.Duration) {
 
 	for _, pc := range cv.order {
 		fc := cv.cases[pc]
+		recurred := res.Failure != nil && res.Failure.PC == fc.PC
 		switch fc.State {
 		case StateChecking:
-			detected := res.Failure != nil && failPC == fc.PC
-			fc.CheckSet.EndRun(detected)
-			if detected {
-				fc.Metrics.CheckRuns++
+			if recurred {
 				fc.Metrics.CheckRunTime += elapsed
 			}
-			if fc.CheckSet.DetectedRuns() >= cv.conf.CheckRuns {
-				cv.finishChecking(fc)
-			}
+			fc.RecordCheckRun(recurred, fc.CheckSet.DrainRun())
 		case StateEvaluating, StatePatched:
-			if fc.Current == nil {
-				break
-			}
 			fc.Metrics.RepairRunTime += elapsed
-			repairID := fc.Current.ID
-			switch {
-			case res.Failure != nil && failPC == fc.PC:
-				// The failure recurred with the repair in place.
-				fc.Evaluator.RecordFailure(repairID)
-				fc.Metrics.Unsuccessful++
-				cv.redeploy(fc)
-			case res.Outcome == vm.OutcomeCrash,
-				res.Outcome == vm.OutcomeExit && res.ExitCode != 0:
-				// A crash with the repair in place counts against it
-				// (§2.6: failed if the application crashes after repair).
-				// An abnormal exit (the application's own exception
-				// handler bailing out with a nonzero status) is the
-				// observable equivalent of a crash.
-				fc.Evaluator.RecordFailure(repairID)
-				fc.Metrics.Unsuccessful++
-				cv.redeploy(fc)
-			default:
-				// The run survived (normal exit, or a failure at a
-				// different location — §2.6's "may expose another
-				// failure", handled as its own case below).
-				fc.Evaluator.RecordSuccess(repairID)
-				if fc.State == StateEvaluating {
-					fc.State = StatePatched
-				}
-			}
+			fc.RecordRepairRun(fc.Current, recurred, res.Outcome, res.ExitCode)
 		}
 	}
 
-	if res.Failure != nil {
-		if _, known := cv.cases[failPC]; !known {
-			cv.openCase(res.Failure, elapsed)
-		}
-	}
-}
-
-// redeploy picks the next best repair after a failure, or gives up when
-// the candidate set is exhausted.
-func (cv *ClearView) redeploy(fc *FailureCase) {
-	if fc.Evaluator.Exhausted() {
-		fc.State = StateUnrepaired
-		fc.Current = nil
+	if res.Failure == nil {
 		return
 	}
-	fc.State = StateEvaluating
-	fc.Current = fc.Evaluator.Best()
-}
-
-// openCase responds to the first detection of a failure at a new location:
-// select candidate correlated invariants and build checking patches
-// (§2.4.1, §2.4.2).
-func (cv *ClearView) openCase(f *vm.Failure, elapsed time.Duration) {
-	sp := cv.tr.Start("detect")
-	defer sp.Finish()
-	fc := &FailureCase{
-		ID:    fmt.Sprintf("fail@%#x", f.PC),
-		PC:    f.PC,
-		State: StateChecking,
-		Stack: f.Stack,
+	if _, known := cv.cases[res.Failure.PC]; !known {
+		sp := cv.tr.Start("detect")
+		fc := OpenCase(&cv.conf, res.Failure.PC, res.Failure.Stack)
+		sp.Finish()
+		fc.Metrics.DetectTime = elapsed
+		cv.cases[fc.PC] = fc
+		cv.order = append(cv.order, fc.PC)
 	}
-	fc.Metrics.DetectRuns = 1
-	fc.Metrics.DetectTime = elapsed
-
-	buildStart := time.Now()
-	fc.Candidates = correlate.SelectCandidates(
-		cv.conf.Invariants, cv.cfgdb, f.PC, f.Stack,
-		correlate.Config{
-			StackScope:                  cv.conf.StackScope,
-			DisableSameBlockRestriction: cv.conf.DisableSameBlockRestriction,
-		},
-	)
-	fc.Metrics.CandidateCount = len(fc.Candidates)
-	fc.CheckSet = correlate.BuildCheckSet(fc.ID, fc.Candidates)
-	cv.PatchesGenerated += len(fc.CheckSet.Patches)
-	for _, c := range fc.Candidates {
-		if s := repair.KindSlot(c.Inv.Kind); s >= 0 {
-			fc.Metrics.ChecksBuilt[s]++
-		}
-	}
-	fc.Metrics.BuildChecks = time.Since(buildStart)
-
-	cv.cases[f.PC] = fc
-	cv.order = append(cv.order, f.PC)
-
-	if len(fc.Candidates) == 0 {
-		// Nothing to check: no invariants anywhere in scope. The failure
-		// remains blocked by the monitors but cannot be repaired.
-		fc.State = StateUnrepaired
-	}
-}
-
-// finishChecking classifies correlations, discards the checking patches,
-// and generates the candidate repairs (§2.4.3, §2.5).
-func (cv *ClearView) finishChecking(fc *FailureCase) {
-	sp := cv.tr.Start("correlate")
-	defer sp.Finish()
-	fc.Metrics.CheckExecs = fc.CheckSet.TotalChecks
-	fc.Metrics.CheckViolations = fc.CheckSet.TotalViolations
-	fc.Correlations = correlate.Classify(fc.CheckSet.Runs())
-
-	buildStart := time.Now()
-	selected := correlate.SelectForRepair(fc.Candidates, fc.Correlations)
-	fc.Repairs = repair.GenerateAll(selected, cv.conf.Image.InstAt, cv.conf.Invariants.SPOffsetAt)
-	fc.Metrics.RepairCount = len(fc.Repairs)
-	fc.Metrics.RepairsBuilt = repair.CountByKind(fc.Repairs)
-	cv.PatchesGenerated += len(fc.Repairs)
-	fc.Metrics.BuildRepairs = time.Since(buildStart)
-
-	fc.Evaluator = evaluate.New(fc.Repairs, cv.conf.Bonus)
-	fc.Evaluator.ReverseTieBreak = cv.conf.ReverseRepairOrder
-	if fc.Evaluator.Len() == 0 {
-		fc.State = StateUnrepaired
-		return
-	}
-	fc.State = StateEvaluating
-	fc.Current = fc.Evaluator.Best()
 }
 
 // Protected reports whether every known failure case has an adopted patch.

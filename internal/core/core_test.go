@@ -311,7 +311,7 @@ func TestAdoptedPatchDemotedIfItStopsWorking(t *testing.T) {
 	cur := fc.Current
 	cur.Successes = 0 // neutralize accumulated credit for the test
 	fc.Evaluator.RecordFailure(cur.Repair.ID())
-	cv.redeploy(fc)
+	fc.redeploy()
 	if fc.State == StatePatched && fc.Current == cur {
 		t.Error("failed repair kept deployed")
 	}

@@ -28,12 +28,11 @@ type LearnConfig struct {
 
 // LearnStats reports what a learning campaign did.
 type LearnStats struct {
-	Runs          int
-	NormalRuns    int
-	Discarded     int // erroneous executions excluded from the database
-	Observations  uint64
-	StepsTraced   uint64
-	StepsBaseline uint64 // same workloads without instrumentation
+	Runs         int    // executions traced
+	NormalRuns   int    // executions that exited normally and were learned from
+	Discarded    int    // erroneous executions excluded from the database
+	Observations uint64 // trace entries the front end recorded
+	StepsTraced  uint64 // instructions executed under tracing
 }
 
 // Learn runs the inputs under the Daikon front end and returns the learned

@@ -6,8 +6,32 @@ import (
 	"repro/internal/replay"
 )
 
-// replayFastPath advances the failure case at failPC as far as the
-// recorded failing run allows, without waiting for live recurrences.
+// replayFastPath runs the case's fast path on the recording of a live run
+// that just failed at its location, after the optional determinism
+// self-check of the recording (ReplayConfig.VetRecordings).
+func (cv *ClearView) replayFastPath(rec *replay.Recording, fc *FailureCase) {
+	rp := cv.conf.Replay
+	start := time.Now()
+	defer func() { fc.Metrics.ReplayTime += time.Since(start) }()
+	farm := &replay.Farm{Workers: rp.Workers, Deadline: rp.Deadline, Obs: cv.tr}
+	if rp.VetRecordings {
+		vsp := cv.tr.Start("vet")
+		err := farm.Vet(rec)
+		vsp.Finish()
+		if err != nil {
+			fc.Metrics.VetRejects++
+			cv.tr.Counter("core.vet_rejects").Inc()
+			return
+		}
+		fc.Metrics.ReplayRuns++
+	}
+	fc.Replay(rec, farm)
+}
+
+// Replay advances the case as far as rec — a recording of a run that
+// failed at the case's location — allows, without waiting for live
+// recurrences, and reports whether farm verdicts re-ranked the candidate
+// repairs.
 //
 // The live state machine needs one execution per transition: run 1
 // detects, runs 2–3 observe the checking patches, and runs 4+ try one
@@ -19,7 +43,7 @@ import (
 //     checking patches, feeding the same observation stream the live runs
 //     would produce, until the configured number of failing check runs is
 //     reached and correlations are classified.
-//  2. Once candidate repairs exist, the farm replays the recording under
+//  2. Once candidate repairs exist, farm replays the recording under
 //     every candidate concurrently and feeds the verdicts into the
 //     evaluator. Candidates under which the recorded failure recurs (or
 //     the replay crashes) are discarded before ever being deployed live;
@@ -29,75 +53,49 @@ import (
 // ClearView converges in two presentations of a deterministic exploit
 // instead of 4+, and the unsuccessful candidates never reach production.
 //
-// If a replay fails to reproduce the recorded detection (a nondeterministic
-// environment would do this; our machine only stops reproducing when the
-// checking patches themselves perturb the failure), the fast path abandons
-// the case and the live pipeline continues exactly as in the paper.
-func (cv *ClearView) replayFastPath(rec *replay.Recording, failPC uint32) {
-	fc := cv.cases[failPC]
-	if fc == nil {
-		return
-	}
-	rp := cv.conf.Replay
-	start := time.Now()
-	defer func() { fc.Metrics.ReplayTime += time.Since(start) }()
-
-	if rp.VetRecordings {
-		vsp := cv.tr.Start("vet")
-		farm := &replay.Farm{Workers: rp.Workers, Deadline: rp.Deadline, Obs: cv.tr}
-		err := farm.Vet(rec)
-		vsp.Finish()
-		if err != nil {
-			fc.Metrics.VetRejects++
-			cv.tr.Counter("core.vet_rejects").Inc()
-			return
-		}
-		fc.Metrics.ReplayRuns++
-	}
-
+// A check replay that cannot run (its machine cannot be built) is no run
+// and is not logged. One that runs but does not reproduce the recorded
+// detection (a nondeterministic environment would do this; our machine
+// only stops reproducing when the checking patches themselves perturb the
+// failure) is logged as the non-failing check run it was, and the fast
+// path then leaves the case to the live pipeline, exactly as in the paper.
+func (c *FailureCase) Replay(rec *replay.Recording, farm *replay.Farm) (ranked bool) {
 	// Phase 1: compress the runs-2/3 checking phase.
-	for fc.State == StateChecking && fc.CheckSet.DetectedRuns() < cv.conf.CheckRuns {
-		fc.CheckSet.StartRun()
-		res, err := rec.Replay(fc.CheckSet.Patches, fc.ID)
+	for c.State == StateChecking {
+		c.CheckSet.StartRun()
+		res, err := rec.Replay(c.CheckSet.Patches, c.ID)
 		if err != nil {
-			fc.CheckSet.EndRun(false)
-			return
+			return false
 		}
-		detected := res.Failure != nil && res.Failure.PC == fc.PC
-		fc.CheckSet.EndRun(detected)
-		fc.Metrics.ReplayRuns++
+		c.Metrics.ReplayRuns++
+		detected := res.Failure != nil && res.Failure.PC == c.PC
+		c.RecordCheckRun(detected, c.CheckSet.DrainRun())
 		if !detected {
-			return // replay no longer reproduces: fall back to live runs
-		}
-		fc.Metrics.CheckRuns++
-		if fc.CheckSet.DetectedRuns() >= cv.conf.CheckRuns {
-			cv.finishChecking(fc)
+			return false
 		}
 	}
 
 	// Phase 2: compress the run-4+ candidate exploration.
-	if fc.State != StateEvaluating || fc.Evaluator == nil || len(fc.Repairs) == 0 {
-		return
+	if c.State != StateEvaluating {
+		return false
 	}
-	fsp := cv.tr.Start("farm")
-	farm := &replay.Farm{Workers: rp.Workers, Deadline: rp.Deadline, Obs: cv.tr}
-	wait := fsp.Block("farm.fanout")
-	verdicts := farm.Evaluate(rec, fc.ID, fc.Repairs)
+	// The caller parks while the farm's workers replay. Under the
+	// community manager's lock that park is the convoy the stage table
+	// exists to expose, so it is attributed explicitly.
+	sp := c.conf.Obs.Start("farm")
+	wait := sp.Block("farm.fanout")
+	verdicts := farm.Evaluate(rec, c.ID, c.Repairs)
 	wait()
-	fsp.Finish()
-	survivors := replay.Apply(verdicts, fc.Evaluator)
+	sp.Finish()
+	survivors := replay.Apply(verdicts, c.Evaluator)
 	applied := 0
 	for i := range verdicts {
 		if verdicts[i].Err == "" {
 			applied++
 		}
 	}
-	fc.Metrics.ReplayRuns += len(verdicts)
-	fc.Metrics.ReplayDiscards += applied - survivors
-	if fc.Evaluator.Exhausted() {
-		fc.State = StateUnrepaired
-		fc.Current = nil
-		return
-	}
-	fc.Current = fc.Evaluator.Best()
+	c.Metrics.ReplayRuns += len(verdicts)
+	c.Metrics.ReplayDiscards += applied - survivors
+	c.redeploy()
+	return true
 }

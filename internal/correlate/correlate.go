@@ -116,12 +116,12 @@ type Observation struct {
 
 // CheckSet is a deployed set of invariant-checking patches for one failure.
 // The observations stream is split into runs by the driver: StartRun begins
-// a fresh observation sequence, EndRun finalizes it with whether the
-// monitored failure recurred in that run.
+// a fresh observation sequence, and LogRun files the drained sequence with
+// whether the monitored failure recurred in that run.
 //
 // A check costs O(1) and allocates nothing: each hook records into its
 // invariant's per-run fold, and a run's observations are materialized only
-// when it ends (EndRun, DrainRun), in the canonical folded form — see
+// when it is drained (DrainRun), in the canonical folded form — see
 // fold.
 type CheckSet struct {
 	FailureID string
@@ -130,8 +130,9 @@ type CheckSet struct {
 
 	// invs holds one entry per distinct invariant ID among the candidates,
 	// in first-candidate order; the hooks address it by index.
-	invs []invState
-	runs []RunLog
+	invs     []invState
+	runs     []RunLog
+	detected int // runs in runs that detected the failure
 
 	// Totals for the Table 3 "(violated/total checks)" accounting.
 	TotalChecks     uint64
@@ -321,23 +322,19 @@ func (cs *CheckSet) DrainRun() []Observation {
 	return obs
 }
 
-// EndRun finalizes the current run's observations, recording whether the
-// campaign's failure was detected during the run.
-func (cs *CheckSet) EndRun(detected bool) {
-	cs.runs = append(cs.runs, RunLog{Detected: detected, Obs: cs.DrainRun()})
+// LogRun appends one finished run to the run log Classify reads: a run
+// these patches observed (its observations drained with DrainRun), or one
+// a community member ran under the same checks and reported.
+func (cs *CheckSet) LogRun(r RunLog) {
+	cs.runs = append(cs.runs, r)
+	if r.Detected {
+		cs.detected++
+	}
 }
 
-// DetectedRuns returns how many recorded runs ended in the campaign's
+// DetectedRuns returns how many logged runs ended in the campaign's
 // failure.
-func (cs *CheckSet) DetectedRuns() int {
-	n := 0
-	for _, r := range cs.runs {
-		if r.Detected {
-			n++
-		}
-	}
-	return n
-}
+func (cs *CheckSet) DetectedRuns() int { return cs.detected }
 
 // Runs returns the recorded run logs.
 func (cs *CheckSet) Runs() []RunLog { return cs.runs }

@@ -255,7 +255,7 @@ func TestCheckSetObservesAndCounts(t *testing.T) {
 	if res := machine.Run(); res.Outcome != vm.OutcomeExit {
 		t.Fatal(res.Outcome)
 	}
-	cs.EndRun(true)
+	cs.LogRun(RunLog{Detected: true, Obs: cs.DrainRun()})
 	if cs.TotalChecks != 1 || cs.TotalViolations != 1 {
 		t.Errorf("checks/violations = %d/%d", cs.TotalChecks, cs.TotalViolations)
 	}
@@ -291,7 +291,7 @@ func TestCheckSetTwoVarAcrossInstructions(t *testing.T) {
 	cs.StartRun()
 	machine, _ := vm.New(vm.Config{Image: img, Patches: cs.Patches})
 	machine.Run()
-	cs.EndRun(true)
+	cs.LogRun(RunLog{Detected: true, Obs: cs.DrainRun()})
 	// 9 <= 4 is violated.
 	if cs.TotalChecks != 1 || cs.TotalViolations != 1 {
 		t.Errorf("checks/violations = %d/%d", cs.TotalChecks, cs.TotalViolations)

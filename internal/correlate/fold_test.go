@@ -37,7 +37,8 @@ func hookCtx(t *testing.T) (*vm.Ctx, *vm.VM) {
 // have produced. Campaigns mix many invariants (some sharing an ID across
 // candidates), detected and undetected runs, invariants left unchecked in
 // some failing runs, and many checks of one invariant per run; runs end
-// through both EndRun (the core path) and DrainRun (the community path).
+// either filed in the set's run log (LogRun, whose detected count must
+// stay exact) or drained bare (DrainRun, a community node's path).
 func TestFoldedClassifyMatchesPerCheck(t *testing.T) {
 	ctx, machine := hookCtx(t)
 	r := rand.New(rand.NewSource(1))
@@ -58,6 +59,7 @@ func TestFoldedClassifyMatchesPerCheck(t *testing.T) {
 		}
 		var raw, folded []RunLog
 		var checks, violations uint64
+		logged := 0
 		for run, runs := 0, 1+r.Intn(6); run < runs; run++ {
 			detected := r.Intn(4) != 0
 			cs.StartRun()
@@ -83,8 +85,11 @@ func TestFoldedClassifyMatchesPerCheck(t *testing.T) {
 			}
 			raw = append(raw, RunLog{Detected: detected, Obs: seq})
 			if r.Intn(2) == 0 {
-				cs.EndRun(detected)
+				cs.LogRun(RunLog{Detected: detected, Obs: cs.DrainRun()})
 				folded = append(folded, cs.Runs()[len(cs.Runs())-1])
+				if detected {
+					logged++
+				}
 			} else {
 				folded = append(folded, RunLog{Detected: detected, Obs: cs.DrainRun()})
 			}
@@ -93,6 +98,9 @@ func TestFoldedClassifyMatchesPerCheck(t *testing.T) {
 		want, got := Classify(raw), Classify(folded)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: folded Classify = %v, per-check Classify = %v", trial, got, want)
+		}
+		if cs.DetectedRuns() != logged {
+			t.Fatalf("trial %d: DetectedRuns = %d, want %d", trial, cs.DetectedRuns(), logged)
 		}
 		if cs.TotalChecks != checks || cs.TotalViolations != violations {
 			t.Fatalf("trial %d: checks/violations = %d/%d, want %d/%d",
