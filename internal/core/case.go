@@ -167,17 +167,18 @@ func (c *FailureCase) RecordCheckRun(detected bool, obs []correlate.Observation)
 
 // RecordRepairRun feeds one run made under candidate e into the
 // evaluation (§2.6). recurred reports whether the case's failure was
-// detected again; together with a crash or an abnormal exit (the
-// application's own exception handler bailing out with a nonzero status)
-// it fails the run, which debits e and deploys the next best candidate —
-// demoting e if it was adopted — or gives the case up once every candidate
-// has failed. A run that survives, which includes a failure at a different
-// location (§2.6's "may expose another failure", a case of its own),
-// credits e and, while the case is evaluating, adopts e: the candidate the
-// run was under, which need not be Current when many machines evaluate
-// candidates in parallel (§3).
+// detected again. evaluate.RunFailed, which farm replays apply too, fails
+// the run on a recurrence, a crash or an abnormal exit (the application's
+// own exception handler bailing out with a nonzero status). A failed run
+// debits e and deploys the next best candidate — demoting e if it was
+// adopted — or gives the case up once every candidate has failed. A run
+// that survives, which includes a failure at a different location (§2.6's
+// "may expose another failure", a case of its own), credits e and, while
+// the case is evaluating, adopts e: the candidate the run was under, which
+// need not be Current when many machines evaluate candidates in parallel
+// (§3).
 func (c *FailureCase) RecordRepairRun(e *evaluate.Entry, recurred bool, outcome vm.Outcome, exitCode uint32) {
-	if recurred || outcome == vm.OutcomeCrash || (outcome == vm.OutcomeExit && exitCode != 0) {
+	if evaluate.RunFailed(recurred, outcome, exitCode) {
 		c.Evaluator.RecordFailure(e.ID)
 		c.Metrics.Unsuccessful++
 		c.redeploy()

@@ -17,6 +17,7 @@ package daikon
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // VarID identifies a binary-level variable: slot Slot of the instruction at
@@ -26,7 +27,15 @@ type VarID struct {
 	Slot uint8
 }
 
-func (v VarID) String() string { return fmt.Sprintf("%#x.%d", v.PC, v.Slot) }
+func (v VarID) String() string { return string(v.appendTo(make([]byte, 0, 16))) }
+
+// appendTo appends the variable's name, "0x<pc>.<slot>", to b.
+func (v VarID) appendTo(b []byte) []byte {
+	b = append(b, "0x"...)
+	b = strconv.AppendUint(b, uint64(v.PC), 16)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(v.Slot), 10)
+}
 
 // Less orders VarIDs by (PC, Slot); within straight-line code this is
 // execution order, which the repair tie-break rules rely on.
@@ -107,19 +116,26 @@ func (inv *Invariant) Modulus() (m, r uint32) {
 // ID returns a stable identifier used for patch naming and community
 // bookkeeping.
 func (inv *Invariant) ID() string {
+	var buf [40]byte
+	return string(inv.AppendID(buf[:0]))
+}
+
+// AppendID appends the invariant's ID to b.
+func (inv *Invariant) AppendID(b []byte) []byte {
 	switch inv.Kind {
 	case KindLessThan:
-		return fmt.Sprintf("lt@%s<=%s", inv.Var, inv.Var2)
+		b = inv.Var.appendTo(append(b, "lt@"...))
+		return inv.Var2.appendTo(append(b, "<="...))
 	case KindSPOffset:
-		return fmt.Sprintf("sp@%#x", inv.Var.PC)
+		return strconv.AppendUint(append(b, "sp@0x"...), uint64(inv.Var.PC), 16)
 	case KindLowerBound:
-		return fmt.Sprintf("lb@%s", inv.Var)
+		return inv.Var.appendTo(append(b, "lb@"...))
 	case KindNonzero:
-		return fmt.Sprintf("nz@%s", inv.Var)
+		return inv.Var.appendTo(append(b, "nz@"...))
 	case KindModulus:
-		return fmt.Sprintf("mod@%s", inv.Var)
+		return inv.Var.appendTo(append(b, "mod@"...))
 	default:
-		return fmt.Sprintf("oneof@%s", inv.Var)
+		return inv.Var.appendTo(append(b, "oneof@"...))
 	}
 }
 

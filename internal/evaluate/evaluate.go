@@ -12,10 +12,18 @@ import (
 	"sort"
 
 	"repro/internal/repair"
+	"repro/internal/vm"
 )
 
 // DefaultBonus is the never-failed bonus b.
 const DefaultBonus = 1
+
+// RunFailed is the verdict on one run made under a candidate repair: it
+// failed if the failure recurred, the application crashed, or it exited
+// nonzero. Live runs, member reports and farm replays are all judged by it.
+func RunFailed(recurred bool, outcome vm.Outcome, exitCode uint32) bool {
+	return recurred || outcome == vm.OutcomeCrash || (outcome == vm.OutcomeExit && exitCode != 0)
+}
 
 // Entry tracks one repair's evaluation state.
 type Entry struct {

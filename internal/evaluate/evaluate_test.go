@@ -6,7 +6,31 @@ import (
 
 	"repro/internal/daikon"
 	"repro/internal/repair"
+	"repro/internal/vm"
 )
+
+// TestRunFailed: a run under a candidate fails on a recurrence, a crash or
+// a nonzero exit; a clean exit, or a failure at another location
+// (recurred false), is a success.
+func TestRunFailed(t *testing.T) {
+	for _, tc := range []struct {
+		recurred bool
+		outcome  vm.Outcome
+		exitCode uint32
+		want     bool
+	}{
+		{false, vm.OutcomeExit, 0, false},
+		{false, vm.OutcomeExit, 1, true},
+		{false, vm.OutcomeCrash, 0, true},
+		{false, vm.OutcomeFailure, 0, false},
+		{true, vm.OutcomeFailure, 0, true},
+		{true, vm.OutcomeExit, 0, true},
+	} {
+		if got := RunFailed(tc.recurred, tc.outcome, tc.exitCode); got != tc.want {
+			t.Errorf("RunFailed(%v, %v, %d) = %v, want %v", tc.recurred, tc.outcome, tc.exitCode, got, tc.want)
+		}
+	}
+}
 
 func mkRepairs(n int) []*repair.Repair {
 	inv := &daikon.Invariant{Kind: daikon.KindOneOf, Var: daikon.VarID{PC: 0x100}, Values: []uint32{1}}

@@ -156,8 +156,13 @@ func Registry() *Suite {
 			{Name: "BenchmarkTable2", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Gate: []string{"ns/op", "allocs/op", "B/op"}, Info: []string{"hook-runs"}},
 			{Name: "BenchmarkLearningOff", Package: ".", Benchtime: "2x", CIBenchtime: "1x", Class: ClassNoisy},
+			// LearningOn gates allocs/op and B/op as well: its samples agree
+			// to within a few allocations and bytes, and a recorder that
+			// buffers observations per run again (32.5k allocations and
+			// 2.8 MB an op before the fold, against 9.9k and 1.5 MB) fails
+			// by name.
 			{Name: "BenchmarkLearningOn", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
-				Class: ClassNoisy, Info: []string{"trace-entries"}},
+				Class: ClassNoisy, Gate: []string{"ns/op", "allocs/op", "B/op"}, Info: []string{"trace-entries"}},
 			// CI keeps the full 500x here: a 100x run is warmup-dominated
 			// (~1.7x the amortized per-op cost) and the sample is cheap.
 			{Name: "BenchmarkSnapshotClone", Package: ".", Benchtime: "500x", CIBenchtime: "500x",

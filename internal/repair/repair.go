@@ -16,6 +16,7 @@ package repair
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/correlate"
 	"repro/internal/daikon"
@@ -106,10 +107,13 @@ type Repair struct {
 
 // ID returns a stable identifier.
 func (r *Repair) ID() string {
+	var buf [64]byte
+	b := append(r.Inv.AppendID(buf[:0]), '/')
+	b = append(b, r.Strategy.String()...)
 	if r.Strategy == StratSetValue {
-		return fmt.Sprintf("%s/%s=%#x", r.Inv.ID(), r.Strategy, r.Value)
+		b = strconv.AppendUint(append(b, "=0x"...), uint64(r.Value), 16)
 	}
-	return fmt.Sprintf("%s/%s", r.Inv.ID(), r.Strategy)
+	return string(b)
 }
 
 func (r *Repair) String() string {

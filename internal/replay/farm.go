@@ -25,10 +25,11 @@ type Verdict struct {
 	// Recurred reports that the recorded failure fired again at the same
 	// location despite the candidate being in place.
 	Recurred bool
-	// Survived applies the paper's §2.6 criterion exactly as the live
-	// pipeline does: the run neither recurred, nor crashed, nor exited
-	// abnormally. A failure at a *different* location does not count
-	// against the candidate (it opens its own case).
+	// Survived applies the paper's §2.6 criterion through the same
+	// evaluate.RunFailed the live pipeline calls: the run neither
+	// recurred, nor crashed, nor exited abnormally. A failure at a
+	// *different* location does not count against the candidate (it
+	// opens its own case).
 	Survived bool
 	// CleanExit means a normal exit with status 0 — the strongest signal.
 	CleanExit bool
@@ -144,9 +145,7 @@ func runVerdict(rec *Recording, img *image.Image, failureID string, cand *repair
 	recPC, recorded := rec.FailurePC()
 	v.Recurred = recorded && res.Failure != nil && res.Failure.PC == recPC
 	v.CleanExit = res.Outcome == vm.OutcomeExit && res.ExitCode == 0
-	crashed := res.Outcome == vm.OutcomeCrash ||
-		(res.Outcome == vm.OutcomeExit && res.ExitCode != 0)
-	v.Survived = !v.Recurred && !crashed
+	v.Survived = !evaluate.RunFailed(v.Recurred, res.Outcome, res.ExitCode)
 	return v
 }
 

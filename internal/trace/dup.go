@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"repro/internal/daikon"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
@@ -94,6 +93,3 @@ func (r *Recorder) observedSlots(dups [][]bool, i int, in isa.Inst) []int {
 	}
 	return out
 }
-
-// Obs re-exported convenience for tests.
-type Obs = daikon.Obs

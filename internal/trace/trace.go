@@ -1,9 +1,10 @@
 // Package trace implements the Daikon x86-style front end (§2.2.1): it
 // instruments instructions as their basic blocks enter the code cache and
 // records, each time they execute, the values of the operands they read and
-// the addresses they compute. The recorded data is buffered per run and
-// committed to the inference engine only if the run ends normally, so that
-// erroneous executions never contaminate the invariant database (§3.1).
+// the addresses they compute. Each run is folded as it executes into the
+// inference engine's per-run statistics, which are committed only if the
+// run ends normally and dropped otherwise, so that erroneous executions
+// never contaminate the invariant database (§3.1).
 //
 // A Recorder can be restricted to a region of the application (a predicate
 // over instruction addresses); this is the mechanism behind the community's
@@ -17,13 +18,23 @@ import (
 	"repro/internal/vm"
 )
 
-type spObs struct {
-	pc    uint32
-	delta uint32
+// blockPlan is one block's traced positions — each observed (instruction,
+// slot), in execution order — resolved once, at instrumentation, to the
+// engine's dense statistics.
+type blockPlan struct {
+	vars  []int32 // position → dense variable
+	pairs []int32 // positions i < j → dense pair (i, j), at j*(j-1)/2 + i
+}
+
+// passObs is one observation of the current pass.
+type passObs struct {
+	plan *blockPlan
+	pos  int32
+	val  uint32
 }
 
 // Recorder is the learning front end. It is a vm.Plugin and may be shared
-// across sequential runs; per-run buffers are committed or discarded via
+// across sequential runs; each run is committed or discarded via
 // CommitRun / DiscardRun.
 type Recorder struct {
 	Engine *daikon.Engine
@@ -34,9 +45,9 @@ type Recorder struct {
 	// (ablation knob; see dup.go).
 	DisableDupElim bool
 
-	passes  [][]daikon.Obs
-	curPass []daikon.Obs
-	spBuf   []spObs
+	// pass is the current block pass's observations: pair relations are
+	// folded against every earlier observation of the pass.
+	pass []passObs
 
 	entrySPs []uint32
 	obsCount uint64
@@ -60,7 +71,9 @@ func (r *Recorder) traced(pc uint32) bool {
 
 // Instrument implements vm.Plugin.
 func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
+	eng := r.Engine
 	dups := dupSlots(b)
+	plan := &blockPlan{}
 	for i := range b.Insts {
 		in := b.Insts[i]
 		pc := b.Addr(i)
@@ -70,7 +83,7 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 			// tracked only within one pass (same-basic-block
 			// restriction).
 			b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
-				r.closePass()
+				r.pass = r.pass[:0]
 				return nil
 			})
 		}
@@ -102,27 +115,56 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 			continue
 		}
 		observe := r.observedSlots(dups, i, in)
-		pcCopy := pc
+		first := int32(len(plan.vars))
+		for _, si := range observe {
+			plan.vars = append(plan.vars, eng.Var(daikon.VarID{PC: pc, Slot: uint8(si)}))
+		}
+		sp := eng.SP(pc)
 		b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
 			r.lazyInit(ctx)
-			for _, si := range observe {
+			for k, si := range observe {
 				val, err := ctx.EvalSlot(si)
 				if err != nil {
 					// The observed address is unmapped; the instruction
 					// is about to fault. Record nothing for this slot.
 					continue
 				}
-				r.curPass = append(r.curPass, daikon.Obs{
-					Var: daikon.VarID{PC: pcCopy, Slot: uint8(si)},
-					Val: val,
-				})
-				r.obsCount++
+				r.fold(plan, first+int32(k), val)
 			}
-			entry := r.entrySPs[len(r.entrySPs)-1]
-			r.spBuf = append(r.spBuf, spObs{pc: pcCopy, delta: entry - ctx.Reg(isa.ESP)})
+			eng.FoldSP(sp, r.entrySPs[len(r.entrySPs)-1]-ctx.Reg(isa.ESP))
 			return nil
 		})
 	}
+
+	n := len(plan.vars)
+	plan.pairs = make([]int32, 0, n*(n-1)/2)
+	for j := 1; j < n; j++ {
+		for i := 0; i < j; i++ {
+			plan.pairs = append(plan.pairs, eng.Pair(plan.vars[i], plan.vars[j]))
+		}
+	}
+}
+
+// fold folds one observation at position pos of plan into the engine's
+// run: the variable's value, and its pair relation with every earlier
+// observation of the pass. Within a block's own pass positions arrive in
+// order and each pair comes from the plan; a position that recurs, or one
+// from another block because a patch suppressed the instruction that
+// starts a pass, is resolved by key.
+func (r *Recorder) fold(plan *blockPlan, pos int32, val uint32) {
+	eng := r.Engine
+	v := plan.vars[pos]
+	eng.FoldVar(v, val)
+	r.obsCount++
+	row := plan.pairs[pos*(pos-1)/2:]
+	for _, o := range r.pass {
+		if o.plan == plan && o.pos < pos {
+			eng.FoldPair(row[o.pos], o.val, val)
+		} else if ov := o.plan.vars[o.pos]; ov != v {
+			eng.FoldPair(eng.Pair(ov, v), o.val, val)
+		}
+	}
+	r.pass = append(r.pass, passObs{plan: plan, pos: pos, val: val})
 }
 
 func (r *Recorder) lazyInit(ctx *vm.Ctx) {
@@ -131,32 +173,20 @@ func (r *Recorder) lazyInit(ctx *vm.Ctx) {
 	}
 }
 
-func (r *Recorder) closePass() {
-	if len(r.curPass) > 0 {
-		r.passes = append(r.passes, r.curPass)
-		r.curPass = nil
-	}
-}
-
-// CommitRun feeds the buffered observations of a completed normal run into
-// the inference engine and resets per-run state.
+// CommitRun commits the run's observations to the inference engine (the
+// run ended normally) and resets per-run state.
 func (r *Recorder) CommitRun() {
-	r.closePass()
-	for _, p := range r.passes {
-		r.Engine.ObserveBlockPass(p)
-	}
-	for _, s := range r.spBuf {
-		r.Engine.ObserveSP(s.pc, s.delta)
-	}
+	r.Engine.CommitRun()
 	r.reset()
 }
 
-// DiscardRun drops the buffered observations (the run was erroneous).
-func (r *Recorder) DiscardRun() { r.reset() }
+// DiscardRun drops the run's observations (the run was erroneous).
+func (r *Recorder) DiscardRun() {
+	r.Engine.DiscardRun()
+	r.reset()
+}
 
 func (r *Recorder) reset() {
-	r.passes = nil
-	r.curPass = nil
-	r.spBuf = nil
-	r.entrySPs = nil
+	r.pass = r.pass[:0]
+	r.entrySPs = r.entrySPs[:0]
 }
