@@ -39,15 +39,15 @@ type AggregatorConfig struct {
 	// trip. Nil disables tracing; counters stay live either way.
 	Obs *obs.Tracer
 
-	// Retry, when set, arms the resilient upstream path: flush round trips
-	// run under the policy's receive timeout and are retried with backoff,
-	// re-dialing the manager via Redial between attempts (root failover:
-	// the re-dial lands on the promoted leader). Each flush snapshot is
-	// numbered (Batch.FlushSeq), so a retried or duplicated flush is
-	// applied at most once upstream — reports are never double-counted
-	// across a retried Send. Nil keeps the legacy fail-fast flush.
+	// Retry, when set, arms the retry policy: flush round trips run under
+	// the policy's receive timeout and are retried with backoff,
+	// re-dialing the manager via Redial after hard failures (root
+	// failover: the re-dial lands on the promoted leader). Nil makes each
+	// flush one attempt with no receive deadline. Either way each flush
+	// snapshot is numbered (Batch.FlushSeq), so a re-sent or duplicated
+	// flush is applied at most once upstream.
 	Retry *RetryPolicy
-	// Redial reopens the upstream connection for the resilient path.
+	// Redial reopens the upstream connection for retries.
 	Redial func() (Conn, error)
 }
 
@@ -70,9 +70,9 @@ type Aggregator struct {
 	conf AggregatorConfig
 
 	// flushMu serializes flushes: exactly one upstream round trip is in
-	// flight at a time, and the snapshot-clear-restore dance around it is
-	// atomic with respect to other flushes. It is always acquired before
-	// a.mu, never while holding it.
+	// flight at a time, and taking a snapshot, sending it and keeping it
+	// pending are atomic with respect to other flushes. It is always
+	// acquired before a.mu, never while holding it.
 	flushMu sync.Mutex
 
 	mu    sync.Mutex
@@ -94,24 +94,21 @@ type Aggregator struct {
 	// is the highest snapshot number whose flush fully completed — batch
 	// sent AND DirectivesSet reply merged — so "my data went upstream and
 	// the directive cache reflects it" is exactly delivered > e (see
-	// flushIfDue). A failed Send restores its snapshot without advancing
-	// delivered; a lost reply leaves delivered behind too, costing at
-	// worst one redundant near-empty re-flush.
+	// flushIfDue). A flush that got no reply advances nothing.
 	epoch     uint64
 	delivered uint64 // see epoch
+
+	// pending is the numbered flush envelope that got no reply, and
+	// pendingSeq its snapshot number (0: none). Guarded by flushMu.
+	pending    Envelope
+	pendingSeq uint64
 
 	served *connSet // live member connections, severed by Close
 	closed bool
 
-	// upstream is the live manager connection — conf.Upstream until the
-	// resilient path re-dials past a fault or a root failover. Written
-	// under a.mu; the flush path reads it while holding flushMu, so at
-	// most one round trip uses it at a time.
-	upstream Conn
-	// rt/token drive the resilient flush path (nil rt = legacy fail-fast;
-	// token is guarded by flushMu, the only path that stamps it).
-	rt    *retrier
-	token uint64
+	// up is the manager connection and the retry loop flushes run
+	// through; flushMu serializes its round trips.
+	up client
 
 	// Telemetry; see Manager's twin fields. The counters are atomics in
 	// reg, readable without a.mu.
@@ -120,8 +117,6 @@ type Aggregator struct {
 	cUpstream *obs.Counter // envelopes sent upstream (the number the hierarchy minimizes)
 	cFlushes  *obs.Counter // completed flushes
 	cRejects  *obs.Counter // member-batch reports dropped for claiming a peer's identity
-	cRetries  *obs.Counter // flush round-trip retries (resilient path)
-	cRedials  *obs.Counter // upstream re-dials (resilient path)
 }
 
 // NewAggregator builds an aggregator speaking to the manager over
@@ -149,21 +144,14 @@ func NewAggregator(conf AggregatorConfig) (*Aggregator, error) {
 		quarantined: make(map[string]bool),
 		imgWire:     conf.Image.Marshal(),
 		served:      newConnSet("aggregator " + conf.ID),
-		upstream:    conf.Upstream,
 		tr:          conf.Obs,
 		reg:         reg,
 		cUpstream:   reg.Counter("agg.upstream"),
 		cFlushes:    reg.Counter("agg.flushes"),
 		cRejects:    reg.Counter("agg.rejects"),
-		cRetries:    reg.Counter("agg.retries"),
-		cRedials:    reg.Counter("agg.redials"),
 	}
-	if conf.Retry != nil {
-		a.rt = newRetrier(conf.Retry, conf.ID)
-		if rt, ok := a.upstream.(RecvTimeouter); ok {
-			rt.SetRecvTimeout(a.rt.pol.RecvTimeout)
-		}
-	}
+	a.up = client{role: "aggregator", id: conf.ID, conn: conf.Upstream, cSent: a.cUpstream}
+	a.up.arm(conf.Retry, conf.Redial, reg.Counter("agg.retries"), reg.Counter("agg.redials"))
 	return a, nil
 }
 
@@ -517,37 +505,15 @@ func (a *Aggregator) takeLocked() flushSnapshot {
 	return snap
 }
 
-// restore merges an unsent snapshot back into the buffers, ahead of
-// whatever members buffered while the flush was in flight, so a failed
-// Send loses nothing. Takes a.mu.
-func (a *Aggregator) restore(snap flushSnapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reports = append(snap.reports, a.reports...)
-	if snap.learnCount > 0 {
-		if a.learn != nil {
-			snap.learn.Merge(a.learn, daikon.DefaultMaxOneOf)
-		}
-		a.learn = snap.learn
-		a.learnCount += snap.learnCount
-	}
-	for pc, raw := range snap.recRaw {
-		// The snapshot's capture came first, so it wins the per-location
-		// dedupe over anything buffered during the flush attempt.
-		a.recRaw[pc] = raw
-		a.recFrom[pc] = snap.recFrom[pc]
-	}
-	a.newlyQuar = append(snap.newlyQuar, a.newlyQuar...)
-}
-
-// batch compacts a snapshot into the upstream envelope's payload.
-func (snap *flushSnapshot) batch(aggID string) (Batch, error) {
+// envelope compacts a snapshot into its upstream envelope, numbered seq.
+func (snap *flushSnapshot) envelope(aggID string, seq uint64) (Envelope, error) {
 	b := Batch{
 		NodeID:      aggID,
 		Aggregated:  true,
 		NodeIDs:     snap.members,
 		Reports:     snap.reports,
 		Quarantined: snap.newlyQuar,
+		FlushSeq:    seq,
 	}
 	var pcs []uint32
 	for pc := range snap.recRaw {
@@ -561,11 +527,11 @@ func (snap *flushSnapshot) batch(aggID string) (Batch, error) {
 	if snap.learnCount > 0 {
 		raw, err := snap.learn.Marshal()
 		if err != nil {
-			return Batch{}, err
+			return Envelope{}, err
 		}
 		b.LearnDBs = [][]byte{raw}
 	}
-	return b, nil
+	return NewEnvelope(MsgBatch, b)
 }
 
 // Flush compacts everything buffered since the last flush into one
@@ -578,11 +544,10 @@ func (snap *flushSnapshot) batch(aggID string) (Batch, error) {
 //
 // The buffers are snapshotted and cleared under a.mu, but the upstream
 // round trip itself runs outside it, so member connections keep being
-// served while the manager works. If Send fails, the snapshot is restored
-// and the next flush re-sends it; once Send has succeeded the buffers stay
-// cleared whatever happens to the reply — the manager may already have
-// applied the batch, and re-sending it would double-count the region's
-// runs and detections upstream.
+// served while the manager works. A flush that gets no reply stays
+// pending as its numbered envelope, and the next flush re-sends it
+// unchanged before taking a new snapshot: the manager's FlushSeq dedupe
+// applies it exactly once, whether or not a failed attempt landed.
 func (a *Aggregator) Flush() error {
 	sp := a.tr.Start("flush")
 	defer sp.Finish()
@@ -590,20 +555,21 @@ func (a *Aggregator) Flush() error {
 	a.flushMu.Lock()
 	done()
 	defer a.flushMu.Unlock()
+	if err := a.deliverPending(sp); err != nil {
+		return err
+	}
 	return a.flushHoldingFlushMu(sp)
 }
 
 // flushIfDue is the auto-flush entry point (FlushEvery reached, or a
 // mid-campaign join): it flushes unless the state buffered at epoch has
-// already been DELIVERED by a concurrent flush — one whose snapshot was
-// taken after the triggering message was buffered (snapshot number >
-// epoch) and which completed its whole round trip, reply merge included.
-// That flush finished before flushMu was granted here, so the directive
-// cache already reflects the buffered state; another round trip would
-// only ship a redundant near-empty envelope, inflating the very upstream
-// count the hierarchy minimizes. A snapshot alone is not enough: a failed
-// Send restored the buffers, and a lost reply left the cache stale, so in
-// either case the due flush must still run.
+// already been DELIVERED — by a concurrent flush, or by the pending one
+// re-sent here — in a snapshot taken after the triggering message was
+// buffered (snapshot number > epoch), whose whole round trip completed,
+// reply merge included. The directive cache then already reflects the
+// buffered state; another round trip would only ship a redundant
+// near-empty envelope, inflating the very upstream count the hierarchy
+// minimizes.
 func (a *Aggregator) flushIfDue(epoch uint64) error {
 	sp := a.tr.Start("flush")
 	defer sp.Finish()
@@ -611,6 +577,9 @@ func (a *Aggregator) flushIfDue(epoch uint64) error {
 	a.flushMu.Lock()
 	done()
 	defer a.flushMu.Unlock()
+	if err := a.deliverPending(sp); err != nil {
+		return err
+	}
 	done = sp.Block("agg.mu")
 	a.mu.Lock()
 	done()
@@ -622,8 +591,8 @@ func (a *Aggregator) flushIfDue(epoch uint64) error {
 	return a.flushHoldingFlushMu(sp)
 }
 
-// flushHoldingFlushMu is Flush's body. Called with a.flushMu held (and
-// a.mu NOT held).
+// flushHoldingFlushMu takes a new snapshot, makes it the pending flush and
+// delivers it. Called with a.flushMu held (and a.mu NOT held).
 func (a *Aggregator) flushHoldingFlushMu(sp *obs.Span) error {
 	done := sp.Block("agg.mu")
 	a.mu.Lock()
@@ -633,38 +602,43 @@ func (a *Aggregator) flushHoldingFlushMu(sp *obs.Span) error {
 		return fmt.Errorf("community: aggregator %s is closed", a.conf.ID)
 	}
 	snap := a.takeLocked()
-	snapEpoch := a.epoch
+	seq := a.epoch
 	a.mu.Unlock()
 
-	b, err := snap.batch(a.conf.ID)
-	if err != nil {
-		a.restore(snap)
-		return err
-	}
-	if a.rt != nil {
-		// Number the snapshot so the manager applies it at most once even
-		// if the resilient loop below sends it more than once.
-		b.FlushSeq = snapEpoch
-	}
-	env, err := NewEnvelope(MsgBatch, b)
-	if err != nil {
-		a.restore(snap)
-		return err
-	}
-	reply, err := a.flushRoundTrip(sp, env, snap)
+	// Every field of a snapshot encodes, so an error here is a bug; the
+	// snapshot goes with it.
+	env, err := snap.envelope(a.conf.ID, seq)
 	if err != nil {
 		return err
 	}
-	if reply.Kind != MsgDirectivesSet {
-		return fmt.Errorf("community: aggregator %s: unexpected reply %v", a.conf.ID, reply.Kind)
-	}
-	v, err := decodePayload(MsgDirectivesSet, reply.Payload)
-	if err != nil {
-		return err
-	}
-	set := v.(*DirectivesSet)
+	a.pending, a.pendingSeq = env, seq
+	return a.deliverPending(sp)
+}
 
-	done = sp.Block("agg.mu")
+// deliverPending sends the pending flush, if there is one, and merges the
+// manager's DirectivesSet reply into the directive cache. Called with
+// a.flushMu held (and a.mu NOT held).
+func (a *Aggregator) deliverPending(sp *obs.Span) error {
+	if a.pendingSeq == 0 {
+		return nil
+	}
+	var set *DirectivesSet
+	err := a.up.roundTrip(sp, a.pending, true, func(reply Envelope) error {
+		if reply.Kind != MsgDirectivesSet {
+			return fmt.Errorf("community: aggregator %s: unexpected reply %v", a.conf.ID, reply.Kind)
+		}
+		v, err := decodePayload(MsgDirectivesSet, reply.Payload)
+		if err != nil {
+			return err
+		}
+		set = v.(*DirectivesSet)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
+	done := sp.Block("agg.mu")
 	a.mu.Lock()
 	done()
 	for id, d := range set.ByNode {
@@ -673,163 +647,12 @@ func (a *Aggregator) flushHoldingFlushMu(sp *obs.Span) error {
 	// delivered advances only now, after the reply refreshed the directive
 	// cache: flushIfDue's skip promises BOTH that the buffered data went
 	// upstream and that the cache reflects it (a mid-campaign joiner's
-	// skipped flush must still leave it with real directives). If the
-	// reply is lost after a successful Send, the next due flush runs
-	// again — a near-empty envelope, never a double-send, because the
-	// buffers stay cleared.
-	a.delivered = snapEpoch
+	// skipped flush must still leave it with real directives).
+	a.delivered = a.pendingSeq
 	a.cFlushes.Inc()
 	a.mu.Unlock()
+	a.pending, a.pendingSeq = Envelope{}, 0
 	return nil
-}
-
-// flushRoundTrip runs one flush's upstream exchange and returns the reply.
-//
-// Legacy path (no Retry policy): one shot. A failed Send restores the
-// snapshot — on the in-process pipe a send error means the envelope never
-// left — and a lost reply propagates with the buffers left cleared (see
-// Flush's contract).
-//
-// Resilient path: the same numbered envelope is retried across backoff and
-// upstream re-dials until a reply arrives or attempts run out. Re-sending
-// is safe — even when an earlier attempt was actually delivered (a
-// mid-flush disconnect is ambiguous) — because FlushSeq makes the manager
-// apply each snapshot at most once, so a retried flush can recover its
-// reply instead of surrendering it.
-func (a *Aggregator) flushRoundTrip(sp *obs.Span, env Envelope, snap flushSnapshot) (Envelope, error) {
-	if a.rt == nil {
-		var sendErr error
-		sp.BlockFor("upstream", func() { sendErr = a.conf.Upstream.Send(env) })
-		if sendErr != nil {
-			a.restore(snap)
-			return Envelope{}, sendErr
-		}
-		a.cUpstream.Inc()
-		var reply Envelope
-		var recvErr error
-		sp.BlockFor("upstream", func() { reply, recvErr = a.conf.Upstream.Recv() })
-		if recvErr != nil {
-			return Envelope{}, recvErr
-		}
-		return reply, nil
-	}
-
-	a.token++ // flushMu serializes every stamper
-	env.Token = a.token
-	up := a.upstreamConn()
-	var lastErr error
-	hard, slow := 0, 0
-	for {
-		var sendErr error
-		sp.BlockFor("upstream", func() { sendErr = up.Send(env) })
-		if sendErr == nil {
-			a.cUpstream.Inc()
-			reply, recvErr := a.recvMatching(sp, up, env.Token)
-			if recvErr == nil {
-				return reply, nil
-			}
-			lastErr = recvErr
-		} else {
-			lastErr = sendErr
-		}
-		timedOut := sendErr == nil && IsTimeout(lastErr)
-		if timedOut {
-			slow++
-		} else {
-			hard++
-		}
-		if hard >= a.rt.pol.MaxAttempts || hard+slow >= a.rt.pol.TimeoutAttempts {
-			break
-		}
-		a.cRetries.Inc()
-		a.rt.sleep(hard)
-		if timedOut {
-			// The wire is healthy; the reply is lost or just slow (a batch
-			// apply can outlast the receive window). Re-sending on the SAME
-			// connection keeps a slow reply reachable — a redial would
-			// guarantee its loss — and FlushSeq makes the duplicate safe.
-			continue
-		}
-		if c, err := a.redialUpstream(); err != nil {
-			lastErr = err // keep the dead conn; the next Send fails fast
-		} else {
-			up = c
-		}
-	}
-	// Exhausted. The manager may or may not have applied the snapshot, so
-	// restoring the reports would risk double-counting them under a fresh
-	// FlushSeq; only the idempotent state is re-queued.
-	a.restoreIdempotent(snap)
-	return Envelope{}, fmt.Errorf("community: aggregator %s: flush failed after %d attempts: %w",
-		a.conf.ID, hard+slow, lastErr)
-}
-
-// recvMatching receives until a reply carries the given token, draining
-// the stray replies duplicated earlier requests left on the channel.
-func (a *Aggregator) recvMatching(sp *obs.Span, up Conn, token uint64) (Envelope, error) {
-	for {
-		var reply Envelope
-		var recvErr error
-		sp.BlockFor("upstream", func() { reply, recvErr = up.Recv() })
-		if recvErr != nil {
-			return Envelope{}, recvErr
-		}
-		if reply.Token == token {
-			return reply, nil
-		}
-	}
-}
-
-// upstreamConn reads the live upstream connection.
-func (a *Aggregator) upstreamConn() Conn {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.upstream
-}
-
-// redialUpstream reopens the manager connection — after a root failover
-// the re-dial lands on the promoted leader — and installs it as the live
-// upstream.
-func (a *Aggregator) redialUpstream() (Conn, error) {
-	if a.conf.Redial == nil {
-		return nil, fmt.Errorf("community: aggregator %s: no redial path", a.conf.ID)
-	}
-	c, err := a.conf.Redial()
-	if err != nil {
-		return nil, err
-	}
-	if rt, ok := c.(RecvTimeouter); ok {
-		rt.SetRecvTimeout(a.rt.pol.RecvTimeout)
-	}
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = c.Close()
-		return nil, fmt.Errorf("community: aggregator %s is closed", a.conf.ID)
-	}
-	old := a.upstream
-	a.upstream = c
-	a.mu.Unlock()
-	_ = old.Close()
-	a.cRedials.Inc()
-	return c, nil
-}
-
-// restoreIdempotent re-queues the parts of an undeliverable snapshot that
-// are safe to ship twice: quarantine verdicts (the manager's merge is
-// idempotent, and protection-without-exposure must not lose them) and
-// failing-run recordings (latest-wins per location upstream). Reports and
-// the merged learn database are surrendered — the manager may already
-// have applied the snapshot, and re-shipping them under a fresh FlushSeq
-// would double-count the region's runs.
-func (a *Aggregator) restoreIdempotent(snap flushSnapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for pc, raw := range snap.recRaw {
-		a.recRaw[pc] = raw
-		a.recFrom[pc] = snap.recFrom[pc]
-	}
-	a.newlyQuar = append(snap.newlyQuar, a.newlyQuar...)
 }
 
 // UpstreamEnvelopes returns how many envelopes this aggregator has sent to
@@ -892,9 +715,8 @@ func (a *Aggregator) Close() error {
 		return nil
 	}
 	a.closed = true
-	up := a.upstream
 	a.mu.Unlock()
-	_ = up.Close()
+	_ = a.up.close()
 	a.served.sever(true)
 	return nil
 }

@@ -11,11 +11,11 @@ import (
 )
 
 // TestConcurrentAttachDuringFlushRace pins the PR-4 aggregator lock split
-// (flush snapshot/restore and upstream round trips outside a.mu; sender
+// (flush snapshots and upstream round trips outside a.mu; sender
 // binding per connection) against regression: a region of nodes re-homes
 // onto a sibling aggregator *while* both aggregators are flushing
 // concurrently and the re-homed nodes immediately resume presentations.
-// Under -race this exercises Serve/buffer vs. takeLocked/restore vs.
+// Under -race this exercises Serve/buffer vs. takeLocked vs.
 // Attach-driven registration flushes on live goroutines; under the normal
 // build it doubles as a churn-storm convergence test — after the storm the
 // community still converges, every re-homed node ends up protected, and no

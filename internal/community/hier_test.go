@@ -24,7 +24,7 @@ func (c *flakyConn) Send(e Envelope) error {
 }
 
 // TestFlushSendFailureRestoresBuffers: a flush whose upstream Send fails
-// loses nothing — the snapshot is restored and the next flush delivers it
+// loses nothing — the snapshot stays pending and the next flush delivers it
 // — and a pending auto-flush is not skipped on the strength of the failed
 // attempt's snapshot: only a DELIVERED snapshot counts as carried.
 func TestFlushSendFailureRestoresBuffers(t *testing.T) {
@@ -68,7 +68,7 @@ func TestFlushSendFailureRestoresBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := m.CaseStates()[site]; !ok {
-		t.Fatalf("restored report did not reach the manager: %v", m.CaseStates())
+		t.Fatalf("pending report did not reach the manager: %v", m.CaseStates())
 	}
 	if got := agg.UpstreamEnvelopes(); got != 1 {
 		t.Fatalf("upstream envelopes = %d, want 1 (a failed send must not count)", got)

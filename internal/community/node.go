@@ -35,17 +35,8 @@ type Node struct {
 	// trip). Nil disables tracing.
 	Obs *obs.Tracer
 
-	conn Conn
-	dir  Directives
-
-	// Resilience (nil rt = the legacy fail-fast path, byte-identical to
-	// pre-chaos behavior). See EnableResilience.
-	rt     *retrier
-	redial func() (Conn, error)
-	token  uint64
-
-	cRetries    *obs.Counter // node.retries
-	cReconnects *obs.Counter // node.reconnects
+	up  client // the connection upstream and the retry loop (see EnableResilience)
+	dir Directives
 
 	engine   *daikon.Engine
 	maxSteps uint64
@@ -57,12 +48,13 @@ type Node struct {
 // NewNode creates a node manager speaking to the central manager over
 // conn.
 func NewNode(id string, img *image.Image, conn Conn) *Node {
-	return &Node{ID: id, Image: img, conn: conn, engine: daikon.NewEngine()}
+	return &Node{ID: id, Image: img, up: client{role: "node", id: id, conn: conn}, engine: daikon.NewEngine()}
 }
 
-// EnableResilience arms the retry/backoff/reconnect path. Every round trip
-// runs under the policy's receive timeout and is retried with exponential
-// backoff and seeded jitter, on two budgets (see roundTripResilient):
+// EnableResilience arms the retry policy. Without it a round trip is one
+// attempt with no receive deadline. With it, every receive runs under the
+// policy's timeout and a failed round trip is retried with exponential
+// backoff and seeded jitter, on two budgets:
 //
 //   - A receive that times out after a successful send resyncs in place:
 //     the node sends a Hello on the same connection, where the slow reply
@@ -79,29 +71,7 @@ func NewNode(id string, img *image.Image, conn Conn) *Node {
 // resync. reg (nil ok) receives the node.retries and node.reconnects
 // counters.
 func (n *Node) EnableResilience(p *RetryPolicy, redial func() (Conn, error), reg *obs.Registry) {
-	n.rt = newRetrier(p, n.ID)
-	n.redial = redial
-	n.cRetries = reg.Counter("node.retries")
-	n.cReconnects = reg.Counter("node.reconnects")
-	n.applyRecvTimeout()
-}
-
-// applyRecvTimeout pushes the policy's receive deadline onto the current
-// connection, when both exist.
-func (n *Node) applyRecvTimeout() {
-	if n.rt == nil || n.conn == nil {
-		return
-	}
-	if rt, ok := n.conn.(RecvTimeouter); ok {
-		rt.SetRecvTimeout(n.rt.pol.RecvTimeout)
-	}
-}
-
-// nextToken stamps a fresh request token (resilient path only; a node's
-// round trips are serial, so no lock is needed).
-func (n *Node) nextToken() uint64 {
-	n.token++
-	return n.token
+	n.up.arm(p, redial, reg.Counter("node.retries"), reg.Counter("node.reconnects"))
 }
 
 // Connect registers with the manager and fetches initial directives.
@@ -115,178 +85,40 @@ func (n *Node) Connect() error { return n.Sync() }
 // status) is keyed by node ID at the manager, so a re-attached node
 // resumes exactly where it left off no matter which tier it lands on.
 func (n *Node) Attach(conn Conn) error {
-	if n.conn != nil {
-		_ = n.conn.Close()
-	}
-	n.conn = conn
-	n.applyRecvTimeout()
+	n.up.attach(conn)
 	return n.Connect()
 }
 
-// roundTrip sends a message and applies the directives that come back.
+// roundTrip sends a message and applies the directives that come back. A
+// Hello may be sent again; anything else is delivered at most once (see
+// client.roundTrip).
 func (n *Node) roundTrip(env Envelope) error {
 	sp := n.Obs.Start("node.sync")
 	defer sp.Finish()
-	if n.rt == nil {
-		_, err := n.roundTripOnce(sp, env)
-		return err
-	}
-	return n.roundTripResilient(sp, env)
+	return n.up.roundTrip(sp, env, env.Kind == MsgHello, n.accept)
 }
 
-// roundTripOnce is one send/receive exchange. sent reports whether the
-// send itself succeeded — the retry loop must know, because a request that
-// may have reached the peer must not be re-sent unless it is idempotent.
-func (n *Node) roundTripOnce(sp *obs.Span, env Envelope) (sent bool, err error) {
-	var sendErr error
-	sp.BlockFor("upstream", func() { sendErr = n.conn.Send(env) })
-	if sendErr != nil {
-		return false, sendErr
-	}
-	var reply Envelope
-	var recvErr error
-	for {
-		sp.BlockFor("upstream", func() { reply, recvErr = n.conn.Recv() })
-		if recvErr != nil {
-			return true, recvErr
-		}
-		if n.rt == nil || reply.Token == env.Token {
-			break
-		}
-		// A reply carrying a stale token is the stray answer to a
-		// duplicated earlier request; draining it here re-aligns the
-		// request/response framing.
-	}
+// accept applies one reply. The node keeps its newest directives: after a
+// re-attach or a reconnect it may land on an aggregator whose cache has not
+// seen it since the last flush, and trading installed patches for that
+// cache miss's empty set would reopen the protection window. The node's
+// reports keep carrying the kept sequence, so the manager still credits
+// them correctly.
+func (n *Node) accept(reply Envelope) error {
 	switch reply.Kind {
 	case MsgDirectives:
 		v, err := decodePayload(MsgDirectives, reply.Payload)
 		if err != nil {
-			return true, err
+			return err
 		}
-		dir := v.(*Directives)
-		if n.rt != nil && dir.Seq < n.dir.Seq {
-			// Resilient nodes keep their newest directives: a reconnect may
-			// land on an aggregator whose cache has not seen this node since
-			// its last flush, and trading installed patches for that cache
-			// miss's empty set would reopen the protection window PR 4's
-			// guarantee closed. The node's reports keep carrying the kept
-			// sequence, so the manager still credits them correctly.
-			return true, nil
+		if dir := v.(*Directives); dir.Seq >= n.dir.Seq {
+			n.dir = *dir
 		}
-		n.dir = *dir
-		return true, nil
+		return nil
 	case MsgAck:
-		return true, nil
+		return nil
 	}
-	return true, fmt.Errorf("community: unexpected reply %v", reply.Kind)
-}
-
-// roundTripResilient drives roundTripOnce under the retry policy, with
-// seeded-jitter backoff between attempts. Each failure is charged to the
-// budget that matches what it says about the connection:
-//
-//   - A receive timeout after a successful send means the wire is healthy
-//     and the reply is lost or slow behind a busy upstream. It draws on
-//     RetryPolicy.TimeoutAttempts, and the node resyncs in place: it sends
-//     a Hello on the same connection, which a slow reply is still riding
-//     on. A Hello re-sent in place keeps its token, so a late reply to any
-//     copy completes the resync.
-//   - A send error, a receive that fails for any other reason (a dead
-//     wire, a bad reply), or a failed re-dial is a hard failure. It draws
-//     on MaxAttempts, and the node re-dials a fresh connection (without a
-//     redial path it retries in place) and re-registers over it with a
-//     Hello before it sends anything else.
-//
-// A non-idempotent request (report, batch, recording, learning upload) is
-// delivered at most once. Once one send of it has succeeded, the peer may
-// already have applied it, so it is surrendered to the fault: every later
-// attempt is a Hello resync, stamped with a fresh token so roundTripOnce
-// drains the request's late reply by its stale one, and the round trip
-// succeeds when a resync refreshes the directives, which is all the
-// campaign needs to continue. Any other request — a Hello, or one whose
-// sends all failed — follows the re-registration Hello on a new
-// connection.
-func (n *Node) roundTripResilient(sp *obs.Span, env Envelope) error {
-	env.Token = n.nextToken()
-	req := env
-	surrendered := false // req was sent once and may not be sent again
-	owed := false        // env is a re-registration Hello that req must follow
-	redial := false      // a hard failure condemned the connection
-	var lastErr error
-	hard, slow := 0, 0
-	for {
-		var sent bool
-		var err error
-		if redial {
-			err = n.reconnect()
-		} else {
-			sent, err = n.roundTripOnce(sp, env)
-		}
-		if err == nil {
-			switch {
-			case redial:
-				redial = false
-				if env, err = n.resyncEnvelope(); err != nil {
-					return err
-				}
-				owed = !surrendered
-			case owed:
-				env, owed = req, false
-			default:
-				return nil
-			}
-			continue
-		}
-		lastErr = err
-		timedOut := sent && IsTimeout(err)
-		if timedOut {
-			slow++
-		} else {
-			hard++
-		}
-		if hard >= n.rt.pol.MaxAttempts || hard+slow >= n.rt.pol.TimeoutAttempts {
-			break
-		}
-		n.cRetries.Inc()
-		n.rt.sleep(hard)
-		if sent && env.Kind != MsgHello {
-			// The request may already have been applied upstream;
-			// re-sending it would double-count this node's runs.
-			surrendered = true
-			if env, err = n.resyncEnvelope(); err != nil {
-				return err
-			}
-		}
-		redial = !timedOut && n.redial != nil
-	}
-	return fmt.Errorf("community: node %s: round trip failed after %d attempts: %w",
-		n.ID, hard+slow, lastErr)
-}
-
-// resyncEnvelope stamps a Hello under a fresh token: the resync that
-// re-registers the node upstream (a sibling aggregator or the manager
-// itself re-learns the member) and whose reply refreshes the directive
-// cache, so protection survives a lost reply or a reconnect.
-func (n *Node) resyncEnvelope() (Envelope, error) {
-	env, err := NewEnvelope(MsgHello, Hello{NodeID: n.ID})
-	env.Token = n.nextToken()
-	return env, err
-}
-
-// reconnect replaces the node's connection with a freshly dialed one; the
-// retry loop re-registers over it before sending anything else.
-func (n *Node) reconnect() error {
-	conn, err := n.redial()
-	if err != nil {
-		return err
-	}
-	if n.conn != nil {
-		_ = n.conn.Close()
-	}
-	n.conn = conn
-	n.applyRecvTimeout()
-	n.cReconnects.Inc()
-	return nil
+	return fmt.Errorf("community: unexpected reply %v", reply.Kind)
 }
 
 // Directives returns the node's current instruction set (for tests).
@@ -505,4 +337,4 @@ func (n *Node) UploadLearning() error {
 }
 
 // Close releases the node's connection.
-func (n *Node) Close() error { return n.conn.Close() }
+func (n *Node) Close() error { return n.up.close() }

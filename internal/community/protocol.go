@@ -167,10 +167,10 @@ type Batch struct {
 	// FlushSeq, when nonzero on an aggregated batch, numbers the sending
 	// aggregator's flush snapshots (1, 2, ...). The manager applies each
 	// snapshot at most once per sender: a re-sent or duplicated flush —
-	// a resilient aggregator retrying across a lost reply, or a faulty
-	// wire delivering the envelope twice — is answered with fresh
-	// directives but never double-counts the region's reports. Zero (an
-	// aggregator without a retry policy) disables the dedupe.
+	// an aggregator retrying across a lost reply or re-sending its pending
+	// flush, or a faulty wire delivering the envelope twice — is answered
+	// with fresh directives but never double-counts the region's reports.
+	// Every Aggregator numbers its flushes; zero disables the dedupe.
 	FlushSeq uint64
 }
 
@@ -207,11 +207,9 @@ type Envelope struct {
 	Kind    MsgKind // payload discriminator
 	Payload []byte  // the message of that kind, in the wire codec's form (wire.go)
 	// Token correlates a reply with its request: servers echo the request's
-	// token verbatim. Resilient clients stamp each request with a fresh
-	// token and discard replies carrying any other — the stray reply a
-	// duplicated request produces would otherwise shift the
-	// request/response framing off by one forever. Zero means
-	// "uncorrelated" and is matched by zero: a client without a retry
-	// policy never stamps one.
+	// token verbatim. Clients stamp each request with a fresh token and
+	// discard replies carrying any other — the stray reply a duplicated
+	// request produces would otherwise shift the request/response framing
+	// off by one forever.
 	Token uint64
 }

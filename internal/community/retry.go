@@ -3,7 +3,6 @@ package community
 import (
 	"hash/fnv"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -62,25 +61,29 @@ func (p *RetryPolicy) withDefaults() RetryPolicy {
 	return out
 }
 
-// retrier is one client's retry state: the normalized policy plus a seeded
-// jitter generator (mutex-guarded; a node's round trips are serial, but an
-// aggregator's flush path and its members' handlers share the struct).
+// retrier is one client's retry budgets and backoff: the normalized policy
+// and a jitter generator seeded from it and the client's identity, created
+// the first time the client backs off. The zero retrier (no policy) allows
+// one attempt and sets no receive deadline, so a client without a policy
+// fails fast through the same loop. Its client's round trips are serial,
+// so it needs no lock.
 type retrier struct {
-	pol RetryPolicy
-	mu  sync.Mutex
-	rng *rand.Rand
+	pol  RetryPolicy
+	seed int64
+	rng  *rand.Rand
 }
 
-// newRetrier derives a client's retrier from the shared policy and the
-// client's stable identity.
-func newRetrier(p *RetryPolicy, id string) *retrier {
-	pol := p.withDefaults()
+// arm derives a client's retrier from the shared policy (nil: the zero
+// retrier) and the client's stable identity.
+func (r *retrier) arm(p *RetryPolicy, id string) {
+	if p == nil {
+		*r = retrier{}
+		return
+	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id))
-	return &retrier{
-		pol: pol,
-		rng: rand.New(rand.NewSource(mixSeed(pol.Seed, int64(h.Sum64())))),
-	}
+	pol := p.withDefaults()
+	*r = retrier{pol: pol, seed: mixSeed(pol.Seed, int64(h.Sum64()))}
 }
 
 // backoff computes the delay before retry number attempt (0-based):
@@ -95,10 +98,10 @@ func (r *retrier) backoff(attempt int) time.Duration {
 		d = r.pol.MaxDelay
 	}
 	half := d / 2
-	r.mu.Lock()
-	jitter := time.Duration(r.rng.Int63n(int64(half) + 1))
-	r.mu.Unlock()
-	return half + jitter
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.seed))
+	}
+	return half + time.Duration(r.rng.Int63n(int64(half)+1))
 }
 
 // sleep waits out the backoff before retry number attempt.

@@ -139,7 +139,9 @@ type SoakConfig struct {
 	// into — the manager, every aggregator, and every member node share
 	// it, so one snapshot holds the full per-stage pipeline table. The
 	// final snapshot is attached to the SoakReport. Nil disables
-	// telemetry (the soak behaves identically either way).
+	// telemetry (the soak behaves identically either way), unless the soak
+	// arms resilience (Chaos, Retry or a root crash): then the rig keeps a
+	// registry of its own, so the report's fault counters stay live.
 	Obs *obs.Registry
 	// PprofLabels additionally tags traced goroutines with a pprof
 	// "stage" label for the lifetime of each span, so CPU profiles taken
@@ -216,8 +218,8 @@ type SoakReport struct {
 	Defects         []SoakDefect `json:"defects"`   // per-defect convergence rows
 	Converged       bool         `json:"converged"` // every defect converged
 	// Obs is the final telemetry snapshot (nil unless SoakConfig.Obs was
-	// set): every counter and per-stage wall/on-CPU/blocked row the rig
-	// recorded.
+	// set or the soak armed resilience): every counter and per-stage
+	// wall/on-CPU/blocked row the rig recorded.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 }
 
@@ -330,12 +332,24 @@ func newSoakRig(conf SoakConfig, connect func(endpoint) Conn) (*soakRig, error) 
 		if err := conf.Chaos.validate(); err != nil {
 			return nil, err
 		}
-		if conf.Obs == nil {
-			// The chaos counters are the run's proof its faults fired; they
-			// need a live registry even when the caller asked for no
-			// telemetry.
-			conf.Obs = obs.New()
+	}
+	// Resilience is armed by chaos, and also by a root-crash schedule on
+	// its own: the crash severs every root connection, and only the retry
+	// path's re-dial reaches the promoted leader.
+	retry := conf.Retry
+	if retry == nil && (conf.Chaos != nil ||
+		(conf.Churn != nil && conf.Churn.RootCrashRound > 0)) {
+		var seed int64
+		if conf.Chaos != nil {
+			seed = conf.Chaos.Seed
 		}
+		retry = DefaultRetry(seed)
+	}
+	if retry != nil && conf.Obs == nil {
+		// The chaos, retry and reconnect counters are the run's proof its
+		// faults fired and were absorbed; they need a live registry even
+		// when the caller asked for no telemetry.
+		conf.Obs = obs.New()
 	}
 	workers := conf.ReplayWorkers
 	if workers == 0 {
@@ -361,18 +375,6 @@ func newSoakRig(conf SoakConfig, connect func(endpoint) Conn) (*soakRig, error) 
 	tr := obs.NewTracer(conf.Obs)
 	if conf.PprofLabels {
 		tr = tr.WithPprofLabels()
-	}
-	// Resilience is armed by chaos, and also by a root-crash schedule on
-	// its own: the crash severs every root connection, and only the retry
-	// path's re-dial reaches the promoted leader.
-	retry := conf.Retry
-	if retry == nil && (conf.Chaos != nil ||
-		(conf.Churn != nil && conf.Churn.RootCrashRound > 0)) {
-		var seed int64
-		if conf.Chaos != nil {
-			seed = conf.Chaos.Seed
-		}
-		retry = DefaultRetry(seed)
 	}
 	r := &soakRig{
 		conf:    conf,
@@ -670,70 +672,33 @@ func (r *soakRig) run() (*SoakReport, error) {
 		if len(conf.Benign) > 0 {
 			inputs = append(inputs, conf.Benign[(round-1)%len(conf.Benign)])
 		}
-		if conf.ParallelMembers {
-			// The contended shape: every alive member plays its turn at
-			// once, so the aggregators and manager see the arrival
-			// concurrency a real deployment produces.
-			var wg sync.WaitGroup
-			errs := make([]error, len(r.members))
-			for i, m := range r.members {
-				if m.crashed {
-					continue
-				}
+		// ParallelMembers is the contended shape: every alive member plays
+		// its turn at once, so the aggregators and manager see the arrival
+		// concurrency a real deployment produces.
+		alive := make([]*soakMember, 0, len(r.members))
+		for _, m := range r.members {
+			if !m.crashed {
 				r.step()
 				r.cTurns.Inc()
-				wg.Add(1)
-				go func(i int, m *soakMember) {
-					defer wg.Done()
-					errs[i] = r.memberTurn(m, inputs)
-				}(i, m)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for _, m := range r.members {
-				if m.crashed {
-					continue
-				}
-				r.step()
-				r.cTurns.Inc()
-				if err := r.memberTurn(m, inputs); err != nil {
-					return nil, err
-				}
+				alive = append(alive, m)
 			}
 		}
-		if conf.ParallelFlush {
-			var wg sync.WaitGroup
-			errs := make([]error, len(r.aggs))
-			for i, a := range r.aggs {
-				if !r.aggDead[i] {
-					r.step()
-					wg.Add(1)
-					go func(i int, a *Aggregator) {
-						defer wg.Done()
-						errs[i] = a.Flush()
-					}(i, a)
-				}
+		if err := fanOut(len(alive), conf.ParallelMembers, func(i int) error {
+			return r.memberTurn(alive[i], inputs)
+		}); err != nil {
+			return nil, err
+		}
+		live := make([]*Aggregator, 0, len(r.aggs))
+		for i, a := range r.aggs {
+			if !r.aggDead[i] {
+				r.step()
+				live = append(live, a)
 			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			for i, a := range r.aggs {
-				if !r.aggDead[i] {
-					r.step()
-					if err := a.Flush(); err != nil {
-						return nil, err
-					}
-				}
-			}
+		}
+		if err := fanOut(len(live), conf.ParallelFlush, func(i int) error {
+			return live[i].Flush()
+		}); err != nil {
+			return nil, err
 		}
 		report.RoundsRun = round
 
@@ -782,6 +747,35 @@ func (r *soakRig) run() (*SoakReport, error) {
 		report.Obs = &snap
 	}
 	return report, nil
+}
+
+// fanOut runs do(0), ..., do(n-1) and returns the first error by index:
+// one goroutine each when parallel, or in order, stopping at that error.
+func fanOut(n int, parallel bool, do func(i int) error) error {
+	if !parallel {
+		for i := 0; i < n; i++ {
+			if err := do(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = do(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // memberTurn plays one member's round: the adversarial script for an
@@ -1014,25 +1008,13 @@ func (r *soakRig) converged(round int) bool {
 		}
 		return h
 	}
+	// Under chaos a sync may eat several recv timeouts before its retry
+	// lands; collected serially that latency multiplies by the population.
 	holdings := make([]held, len(eligible))
-	if r.conf.ParallelMembers {
-		// Under chaos a sync may eat several recv timeouts before its
-		// retry lands; collected serially that latency multiplies by the
-		// population.
-		var wg sync.WaitGroup
-		for i, m := range eligible {
-			wg.Add(1)
-			go func(i int, m *soakMember) {
-				defer wg.Done()
-				holdings[i] = collect(m)
-			}(i, m)
-		}
-		wg.Wait()
-	} else {
-		for i, m := range eligible {
-			holdings[i] = collect(m)
-		}
-	}
+	_ = fanOut(len(eligible), r.conf.ParallelMembers, func(i int) error {
+		holdings[i] = collect(eligible[i])
+		return nil
+	})
 
 	all := true
 	for i := range r.defects {
