@@ -237,7 +237,7 @@ func BenchmarkAblationSameBlock(b *testing.B) {
 				cv, err := core.New(core.Config{
 					Image:      expanded.App.Image,
 					Invariants: expanded.DB,
-					StackScope: 1, MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+					StackScope: 1, Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 					DisableSameBlockRestriction: disabled,
 				})
 				if err != nil {
@@ -374,7 +374,7 @@ func BenchmarkAblationRepairOrder(b *testing.B) {
 				cv, err := core.New(core.Config{
 					Image:      base.App.Image,
 					Invariants: base.DB,
-					StackScope: 1, MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+					StackScope: 1, Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 					ReverseRepairOrder: reversed,
 				})
 				if err != nil {

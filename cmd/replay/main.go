@@ -87,16 +87,12 @@ func run(exploitID string, workers int, deadline time.Duration, confirm, profile
 		tr = obs.NewTracer(reg).WithPprofLabels()
 	}
 	cv, err := core.New(core.Config{
-		Image:          setup.App.Image,
-		Invariants:     setup.DB,
-		StackScope:     ex.NeedsStackScope,
-		MemoryFirewall: true,
-		HeapGuard:      true,
-		ShadowStack:    true,
-		FaultGuard:     true,
-		HangGuard:      true,
-		Obs:            tr,
-		Replay:         &core.ReplayConfig{Workers: workers, Deadline: deadline},
+		Image:      setup.App.Image,
+		Invariants: setup.DB,
+		StackScope: ex.NeedsStackScope,
+		Monitors:   replay.AllMonitors(),
+		Obs:        tr,
+		Replay:     &core.ReplayConfig{Workers: workers, Deadline: deadline},
 	})
 	if err != nil {
 		return err

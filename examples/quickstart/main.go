@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/isa"
+	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -75,7 +76,7 @@ func main() {
 
 	cv, err := core.New(core.Config{
 		Image: img, Invariants: db,
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		log.Fatal(err)

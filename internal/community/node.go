@@ -170,7 +170,7 @@ func (n *Node) runLocal(input []byte) (vm.RunResult, RunReport, []byte, error) {
 	// The node runs the full detector set — the same configuration
 	// sealRecording claims (replay.AllMonitors), so the manager's replays
 	// and vets reproduce the node's detections bit for bit.
-	plugins, shadow, hang := replay.AllMonitors().Plugins()
+	plugins, _, _ := replay.AllMonitors().Plugins()
 
 	var rec *trace.Recorder
 	if n.dir.LearnHi > n.dir.LearnLo {
@@ -197,8 +197,6 @@ func (n *Node) runLocal(input []byte) (vm.RunResult, RunReport, []byte, error) {
 	if err != nil {
 		return vm.RunResult{}, RunReport{}, nil, err
 	}
-	shadow.Install(machine)
-	hang.Install(machine)
 	esp := n.Obs.Start("node.execute")
 	res := machine.Run()
 	esp.Finish()

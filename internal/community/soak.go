@@ -228,7 +228,7 @@ type SoakReport struct {
 // attack produces — the key the soak uses to match manager cases to
 // attack labels.
 func probeFailurePC(img *image.Image, input []byte) (uint32, string, error) {
-	plugins, shadow, hang := replay.AllMonitors().Plugins()
+	plugins, _, _ := replay.AllMonitors().Plugins()
 	machine, err := vm.New(vm.Config{
 		Image:   img,
 		Input:   input,
@@ -237,8 +237,6 @@ func probeFailurePC(img *image.Image, input []byte) (uint32, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	shadow.Install(machine)
-	hang.Install(machine)
 	res := machine.Run()
 	if res.Failure == nil {
 		return 0, "", fmt.Errorf("input did not fail under the monitors (outcome %v)", res.Outcome)

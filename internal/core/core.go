@@ -58,16 +58,12 @@ type Config struct {
 	DisableSameBlockRestriction bool // admit two-variable invariants outside the frame's block
 	ReverseRepairOrder          bool // invert the §2.6 tie-breaking order
 
-	// Monitor configuration (§4.2.2: the Red Team ran with the first
-	// three; FaultGuard and HangGuard are the extended failure classes).
-	MemoryFirewall bool // illegal-write detection (§2.3)
-	HeapGuard      bool // heap canary checking
-	ShadowStack    bool // return-address integrity
-	FaultGuard     bool // arithmetic faults (divide by zero, unaligned access)
-	HangGuard      bool // runaway-loop step-budget watchdog
-	// HangBudget is HangGuard's step budget; 0 selects
-	// monitor.DefaultHangBudget. Must stay below MaxSteps.
-	HangBudget uint64
+	// Monitors is the detector set every run executes under and every
+	// recording replays under (§4.2.2: the Red Team ran with
+	// MemoryFirewall, HeapGuard and ShadowStack; FaultGuard and HangGuard
+	// are the extended failure classes). The zero value deploys none. A
+	// HangBudget must stay below MaxSteps.
+	Monitors replay.Monitors
 
 	MaxSteps uint64 // step budget of each run; 0 selects vm.DefaultMaxSteps
 
@@ -169,7 +165,7 @@ func (cv *ClearView) Case(pc uint32) *FailureCase { return cv.cases[pc] }
 func (cv *ClearView) Execute(input []byte) vm.RunResult {
 	cv.TotalRuns++
 
-	mons, shadow, hang := cv.monitors().Plugins()
+	mons, _, _ := cv.conf.Monitors.Plugins()
 	plugins := append([]vm.Plugin{cfg.NewPlugin(cv.conf.CFG)}, mons...)
 
 	var patches []*vm.Patch
@@ -207,13 +203,6 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 	if err != nil {
 		return vm.RunResult{Outcome: vm.OutcomeCrash, Crash: &vm.Crash{Reason: err.Error()}}
 	}
-	// (*ShadowStack).Install is not nil-safe.
-	if shadow != nil {
-		shadow.Install(machine)
-	}
-	if hang != nil {
-		hang.Install(machine)
-	}
 	esp := cv.tr.Start("node.execute")
 	res := machine.Run()
 	esp.Finish()
@@ -225,7 +214,7 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 		rsp := cv.tr.Start("record.seal")
 		rec := tape.Seal(
 			fmt.Sprintf("fail@%#x/run%d", res.Failure.PC, cv.TotalRuns),
-			cv.conf.Image, input, deployed, cv.monitors(), cv.conf.MaxSteps, res,
+			cv.conf.Image, input, deployed, cv.conf.Monitors, cv.conf.MaxSteps, res,
 		)
 		rsp.Finish()
 		cv.LastRecording = rec
@@ -236,20 +225,6 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 		cv.PatchesGenerated += len(fc.CheckSet.Patches) + len(fc.Repairs)
 	}
 	return res
-}
-
-// monitors reports the configured monitor set in replay form: the one
-// detector stack a run executes under, and the one its recording replays
-// under.
-func (cv *ClearView) monitors() replay.Monitors {
-	return replay.Monitors{
-		MemoryFirewall: cv.conf.MemoryFirewall,
-		HeapGuard:      cv.conf.HeapGuard,
-		ShadowStack:    cv.conf.ShadowStack,
-		FaultGuard:     cv.conf.FaultGuard,
-		HangGuard:      cv.conf.HangGuard,
-		HangBudget:     cv.conf.HangBudget,
-	}
 }
 
 // afterRun feeds one live run to every failure case and opens a case for

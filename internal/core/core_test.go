@@ -8,6 +8,7 @@ import (
 	"repro/internal/daikon"
 	"repro/internal/image"
 	"repro/internal/isa"
+	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -92,7 +93,7 @@ func underflowClearView(t testing.TB, stackScope int) (*ClearView, map[string]ui
 	db := learn(t, im, [][]byte{{5}, {6}, {7}, {8}})
 	cv, err := New(Config{
 		Image: im, Invariants: db, StackScope: stackScope,
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestPipelineTriesSecondRepairAfterCrash(t *testing.T) {
 	db := learn(t, im, [][]byte{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}, {9}})
 	cv, err := New(Config{
 		Image: im, Invariants: db, StackScope: 1,
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,7 @@ func TestCaseWithNoInvariantsIsUnrepaired(t *testing.T) {
 	im, labels := underflowProgram(t)
 	cv, err := New(Config{
 		Image: im, Invariants: daikon.NewDB(),
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +347,7 @@ func TestSharedCFGDatabaseAcrossRuns(t *testing.T) {
 	shared := cfg.NewDB(im)
 	cv, err := New(Config{
 		Image: im, Invariants: db, CFG: shared,
-		MemoryFirewall: true, HeapGuard: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true},
 	})
 	if err != nil {
 		t.Fatal(err)

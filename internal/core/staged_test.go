@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/daikon"
+	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -22,7 +23,7 @@ func TestStagedLearningRepairsAfterFailure(t *testing.T) {
 	empty := daikon.NewDB()
 	cv0, err := New(Config{
 		Image: im, Invariants: empty, CFG: cfgdb,
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestStagedLearningRepairsAfterFailure(t *testing.T) {
 	// in the usual four presentations.
 	cv, err := New(Config{
 		Image: im, Invariants: db, CFG: cfgdb,
-		MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+		Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 	})
 	if err != nil {
 		t.Fatal(err)

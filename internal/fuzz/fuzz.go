@@ -158,24 +158,14 @@ func New(conf Config) (*Fuzzer, error) {
 // same monitor stack a community node runs (§4.2.2 plus the extended
 // detectors).
 func (f *Fuzzer) newMachine(input []byte, cov *vm.Coverage) (*vm.VM, error) {
-	plugins, shadow, hang := f.conf.monitors().Plugins()
-	machine, err := vm.New(vm.Config{
+	plugins, _, _ := f.conf.monitors().Plugins()
+	return vm.New(vm.Config{
 		Image:    f.conf.Image,
 		Input:    input,
 		Plugins:  plugins,
 		MaxSteps: f.conf.MaxSteps,
 		Coverage: cov,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if shadow != nil {
-		shadow.Install(machine)
-	}
-	if hang != nil {
-		hang.Install(machine)
-	}
-	return machine, nil
 }
 
 // Step executes one campaign iteration: pick or mutate an input, run it,

@@ -223,7 +223,7 @@ func TestFaultGuardBoundaries(t *testing.T) {
 // lap longer crosses the budget and is flagged at a block head, with the
 // unguarded machine left to crash at the hard step limit instead.
 func TestHangGuardBudgetBoundary(t *testing.T) {
-	loopProgram := func(laps int32) (*vm.VM, map[string]uint32, *HangGuard) {
+	loopProgram := func(laps int32) (*vm.VM, map[string]uint32) {
 		im, labels := buildImage(t, func(a *asm.Assembler) {
 			a.Label("main")
 			a.MovRI(isa.ECX, laps)
@@ -234,23 +234,21 @@ func TestHangGuardBudgetBoundary(t *testing.T) {
 			a.MovRI(isa.EAX, 0)
 			a.Sys(isa.SysExit)
 		})
-		hang := &HangGuard{Budget: 100}
-		v, err := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{hang}})
+		v, err := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{&HangGuard{Budget: 100}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		hang.Install(v)
-		return v, labels, hang
+		return v, labels
 	}
 
 	// 30 laps: 1 + 3*30 + 2 = 93 steps ≤ 100 — must exit.
-	v, _, _ := loopProgram(30)
+	v, _ := loopProgram(30)
 	if res := v.Run(); res.Outcome != vm.OutcomeExit {
 		t.Fatalf("under-budget loop flagged: %+v", res)
 	}
 	// 40 laps: 121 steps — crosses the budget mid-loop; the failure pins
 	// the looping block's head.
-	v, labels, _ := loopProgram(40)
+	v, labels := loopProgram(40)
 	res := v.Run()
 	if res.Outcome != vm.OutcomeFailure || res.Failure.Monitor != "HangGuard" {
 		t.Fatalf("over-budget loop not flagged: %+v", res)

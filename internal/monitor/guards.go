@@ -29,12 +29,10 @@ var DetectorNames = []string{
 // would fire — so it has no false positives, but unlike the raw fault the
 // failure carries the ClearView provenance (failure location, monitor,
 // shadow-stack snapshot) the correlation machinery needs.
-type FaultGuard struct {
-	Enabled bool
-}
+type FaultGuard struct{}
 
-// NewFaultGuard returns an enabled arithmetic-fault monitor.
-func NewFaultGuard() *FaultGuard { return &FaultGuard{Enabled: true} }
+// NewFaultGuard returns an arithmetic-fault monitor.
+func NewFaultGuard() *FaultGuard { return &FaultGuard{} }
 
 // Name implements vm.Plugin.
 func (g *FaultGuard) Name() string { return "FaultGuard" }
@@ -51,38 +49,38 @@ func (g *FaultGuard) Instrument(_ *vm.VM, b *vm.Block) {
 		}
 		switch in.Op {
 		case isa.DIVRR, isa.MODRR:
-			b.AddHook(i, vm.PrioMonitor, func(ctx *vm.Ctx) error {
-				if !g.Enabled {
-					return nil
-				}
-				if ctx.Reg(ctx.Inst.B) != 0 {
-					return nil
-				}
-				return &vm.Failure{
-					PC:      ctx.PC,
-					Monitor: "FaultGuard",
-					Kind:    "divide by zero",
-					Detail:  fmt.Sprintf("%s with zero divisor", ctx.Inst.Op),
-				}
-			})
+			b.AddHook(i, vm.PrioMonitor, checkDivisor)
 		case isa.LOADA:
-			b.AddHook(i, vm.PrioMonitor, func(ctx *vm.Ctx) error {
-				if !g.Enabled {
-					return nil
-				}
-				addr := ctx.EffAddr()
-				if addr&3 == 0 {
-					return nil
-				}
-				return &vm.Failure{
-					PC:      ctx.PC,
-					Monitor: "FaultGuard",
-					Kind:    "unaligned access",
-					Detail:  fmt.Sprintf("%s at %#x", ctx.Inst.Op, addr),
-					Target:  addr,
-				}
-			})
+			b.AddHook(i, vm.PrioMonitor, checkAligned)
 		}
+	}
+}
+
+// checkDivisor fails a DIVRR/MODRR about to divide by zero.
+func checkDivisor(ctx *vm.Ctx) error {
+	if ctx.Reg(ctx.Inst.B) != 0 {
+		return nil
+	}
+	return &vm.Failure{
+		PC:      ctx.PC,
+		Monitor: "FaultGuard",
+		Kind:    "divide by zero",
+		Detail:  fmt.Sprintf("%s with zero divisor", ctx.Inst.Op),
+	}
+}
+
+// checkAligned fails a LOADA about to read an unaligned address.
+func checkAligned(ctx *vm.Ctx) error {
+	addr := ctx.EffAddr()
+	if addr&3 == 0 {
+		return nil
+	}
+	return &vm.Failure{
+		PC:      ctx.PC,
+		Monitor: "FaultGuard",
+		Kind:    "unaligned access",
+		Detail:  fmt.Sprintf("%s at %#x", ctx.Inst.Op, addr),
+		Target:  addr,
 	}
 }
 
@@ -126,8 +124,7 @@ func (h *HangGuard) EffectiveBudget() uint64 {
 	return h.Budget
 }
 
-// Install arms the machine's hang watch (like ShadowStack.Install, wiring
-// beyond per-block instrumentation is explicit).
+// Install implements vm.Installer: it arms the machine's hang watch.
 func (h *HangGuard) Install(v *vm.VM) {
 	budget := h.EffectiveBudget()
 	v.SetHangWatch(budget, func(pc uint32, steps uint64) *vm.Failure {

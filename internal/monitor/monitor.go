@@ -12,7 +12,9 @@
 //
 // Monitors are deliberately conservative: they have no false positives.
 // They are vm.Plugins; ShadowStack and the stateful guards carry per-run
-// state and must be constructed fresh for each VM instance.
+// state and must be constructed fresh for each VM instance. A monitor that
+// wires itself into the machine beyond per-block hooks (MemoryFirewall,
+// ShadowStack, HangGuard) does so in Install, which vm.New calls.
 package monitor
 
 import (
@@ -32,15 +34,17 @@ func NewMemoryFirewall() *MemoryFirewall { return &MemoryFirewall{} }
 // Name implements vm.Plugin.
 func (m *MemoryFirewall) Name() string { return "MemoryFirewall" }
 
+// Install implements vm.Installer: the firewall registers itself as the
+// machine's transfer validator so that exception-handler dispatch (a
+// control transfer that does not correspond to a decoded instruction) is
+// subjected to the same program-shepherding policy as decoded transfers.
+func (m *MemoryFirewall) Install(v *vm.VM) { v.SetTransferValidator(validateDispatch) }
+
 // Instrument implements vm.Plugin: every indirect transfer is validated
 // just before it executes. Because repair patches run at a lower priority,
 // an enforced invariant that redirects the transfer is validated on the
-// redirected target. The firewall also registers itself as the machine's
-// transfer validator so that exception-handler dispatch (a control
-// transfer that does not correspond to a decoded instruction) is subjected
-// to the same program-shepherding policy.
-func (m *MemoryFirewall) Instrument(v *vm.VM, b *vm.Block) {
-	v.SetTransferValidator(validateDispatch)
+// redirected target.
+func (m *MemoryFirewall) Instrument(_ *vm.VM, b *vm.Block) {
 	for i, in := range b.Insts {
 		if !in.Op.IsIndirect() {
 			continue
@@ -161,7 +165,8 @@ func (h *HeapGuard) checkWrite(ctx *vm.Ctx, addr uint32, what string) error {
 }
 
 // ShadowStack maintains the auxiliary procedure call stack (§2.3). It is
-// both a vm.Plugin and a vm.StackProvider; Install wires it into a machine.
+// both a vm.Plugin and a vm.StackProvider; Install, which vm.New calls,
+// wires it into a machine.
 type ShadowStack struct {
 	rets []uint32 // return addresses, outermost first
 }
@@ -172,7 +177,8 @@ func NewShadowStack() *ShadowStack { return &ShadowStack{} }
 // Name implements vm.Plugin.
 func (s *ShadowStack) Name() string { return "ShadowStack" }
 
-// Install registers the shadow stack as the machine's stack provider.
+// Install implements vm.Installer: it registers the shadow stack as the
+// machine's stack provider.
 func (s *ShadowStack) Install(v *vm.VM) { v.SetStackProvider(s) }
 
 // Instrument implements vm.Plugin: calls push their return site, returns

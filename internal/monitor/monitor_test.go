@@ -187,9 +187,7 @@ func TestShadowStackSnapshot(t *testing.T) {
 		a.CallR(isa.EBX) // firewall failure two frames deep
 		a.Ret()
 	})
-	ss := NewShadowStack()
-	v, _ := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{ss, NewMemoryFirewall()}})
-	ss.Install(v)
+	v, _ := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{NewShadowStack(), NewMemoryFirewall()}})
 	res := v.Run()
 	if res.Outcome != vm.OutcomeFailure {
 		t.Fatalf("res = %+v", res)
@@ -215,9 +213,7 @@ func TestShadowStackSurvivesNativeCorruption(t *testing.T) {
 		a.Store(asm.M(isa.ESP, 0), isa.ECX) // smash native return address
 		a.Ret()
 	})
-	ss := NewShadowStack()
-	v, _ := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{ss, NewMemoryFirewall()}})
-	ss.Install(v)
+	v, _ := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{NewShadowStack(), NewMemoryFirewall()}})
 	res := v.Run()
 	if res.Outcome != vm.OutcomeFailure {
 		t.Fatalf("res = %+v", res)
@@ -239,7 +235,6 @@ func TestShadowStackDepthBalanced(t *testing.T) {
 	})
 	ss := NewShadowStack()
 	v, _ := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{ss}})
-	ss.Install(v)
 	if res := v.Run(); res.Outcome != vm.OutcomeExit {
 		t.Fatal(res.Outcome)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/daikon"
+	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/webapp"
@@ -73,8 +74,7 @@ func TestAblationSameBlockStillRepairs(t *testing.T) {
 		cv, err := core.New(core.Config{
 			Image:      setup.App.Image,
 			Invariants: setup.DB,
-			StackScope: 1, MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
-			FaultGuard: true, HangGuard: true,
+			StackScope: 1, Monitors: replay.AllMonitors(),
 			DisableSameBlockRestriction: true,
 		})
 		if err != nil {
@@ -97,8 +97,7 @@ func TestAblationReverseOrderStillRepairs(t *testing.T) {
 		cv, err := core.New(core.Config{
 			Image:      setup.App.Image,
 			Invariants: setup.DB,
-			StackScope: 1, MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
-			FaultGuard: true, HangGuard: true,
+			StackScope: 1, Monitors: replay.AllMonitors(),
 			ReverseRepairOrder: true,
 		})
 		if err != nil {
@@ -119,10 +118,10 @@ func TestHeapGuardRequiredForHeapExploits(t *testing.T) {
 	for _, id := range []string{"285595", "325403"} {
 		ex := exploitByID(t, id)
 		cv, err := core.New(core.Config{
-			Image:          setup.App.Image,
-			Invariants:     setup.DB,
-			StackScope:     2,
-			MemoryFirewall: true, HeapGuard: false, ShadowStack: true,
+			Image:      setup.App.Image,
+			Invariants: setup.DB,
+			StackScope: 2,
+			Monitors:   replay.Monitors{MemoryFirewall: true, HeapGuard: false, ShadowStack: true},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -148,10 +147,10 @@ func TestMemoryFirewallSufficientForSeven(t *testing.T) {
 	for _, id := range seven {
 		ex := exploitByID(t, id)
 		cv, err := core.New(core.Config{
-			Image:          setup.App.Image,
-			Invariants:     setup.DB,
-			StackScope:     1,
-			MemoryFirewall: true, HeapGuard: false, ShadowStack: true,
+			Image:      setup.App.Image,
+			Invariants: setup.DB,
+			StackScope: 1,
+			Monitors:   replay.Monitors{MemoryFirewall: true, HeapGuard: false, ShadowStack: true},
 		})
 		if err != nil {
 			t.Fatal(err)

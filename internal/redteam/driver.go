@@ -47,15 +47,11 @@ func NewSetup(expandedCorpus bool) (*Setup, error) {
 // detectors the new failure classes need.
 func (s *Setup) ClearView(stackScope int) (*core.ClearView, error) {
 	return core.New(core.Config{
-		Image:          s.App.Image,
-		Invariants:     s.DB,
-		StackScope:     stackScope,
-		MemoryFirewall: true,
-		HeapGuard:      true,
-		ShadowStack:    true,
-		FaultGuard:     true,
-		HangGuard:      true,
-		Obs:            s.Obs,
+		Image:      s.App.Image,
+		Invariants: s.DB,
+		StackScope: stackScope,
+		Monitors:   replay.AllMonitors(),
+		Obs:        s.Obs,
 	})
 }
 
@@ -66,15 +62,11 @@ func (s *Setup) ClearView(stackScope int) (*core.ClearView, error) {
 // 4+. workers 0 uses all CPUs.
 func (s *Setup) ReplayClearView(stackScope, workers int) (*core.ClearView, error) {
 	return core.New(core.Config{
-		Image:          s.App.Image,
-		Invariants:     s.DB,
-		StackScope:     stackScope,
-		MemoryFirewall: true,
-		HeapGuard:      true,
-		ShadowStack:    true,
-		FaultGuard:     true,
-		HangGuard:      true,
-		Replay:         &core.ReplayConfig{Workers: workers},
+		Image:      s.App.Image,
+		Invariants: s.DB,
+		StackScope: stackScope,
+		Monitors:   replay.AllMonitors(),
+		Replay:     &core.ReplayConfig{Workers: workers},
 	})
 }
 

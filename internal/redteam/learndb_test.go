@@ -178,6 +178,62 @@ func TestLearnedDatabaseGolden(t *testing.T) {
 	}
 }
 
+// TestShardSPOffsetsMatchFullLearning: a §3.1 learning shard measures
+// stack-pointer offsets from the same procedure entries as full learning,
+// whichever instruction its first traced hook runs at. Shard 1 of 4, as
+// the manager assigns it, must learn full learning's sp-offset at every
+// pc both learn one at, so that merging the shard into a seed database
+// learned in full leaves every one of the seed's sp-offsets as it was.
+func TestShardSPOffsetsMatchFullLearning(t *testing.T) {
+	app := webapp.MustBuild()
+	learn := func(name string) *daikon.DB {
+		for _, tc := range learnCases() {
+			if tc.name == name {
+				db, _, err := core.Learn(app.Image, tc.conf(app))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+		}
+		t.Fatalf("no learning campaign %q", name)
+		return nil
+	}
+	spOffsets := func(db *daikon.DB) map[uint32]int32 {
+		out := map[uint32]int32{}
+		for _, inv := range db.ByID {
+			if inv.Kind == daikon.KindSPOffset {
+				out[inv.Var.PC] = inv.Bound
+			}
+		}
+		return out
+	}
+	seed, shard := learn("learning-corpus"), learn("community-shard")
+	seedSP, shardSP := spOffsets(seed), spOffsets(shard)
+	both := 0
+	for pc, d := range shardSP {
+		if want, ok := seedSP[pc]; ok {
+			both++
+			if d != want {
+				t.Errorf("sp@%#x: the shard learns %d, full learning %d", pc, d, want)
+			}
+		}
+	}
+	if both == 0 {
+		t.Fatal("the shard and full learning share no sp-offset")
+	}
+	seed.Merge(shard, 0)
+	kept := 0
+	for pc, d := range spOffsets(seed) {
+		if want, ok := seedSP[pc]; ok && d == want {
+			kept++
+		}
+	}
+	if kept != len(seedSP) {
+		t.Errorf("merging the shard kept %d of the seed's %d sp-offsets", kept, len(seedSP))
+	}
+}
+
 // learnRuns learns from inputs through the public front end, as core.Learn
 // does, and returns the database, the engine's VarsObserved, the coverage
 // of the committed runs and one coverage per discarded run.

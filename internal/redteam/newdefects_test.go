@@ -161,7 +161,7 @@ func TestNewClassUndetectedWithoutGuards(t *testing.T) {
 			Invariants: setup.DB,
 			StackScope: 1,
 			// The paper's three monitors only.
-			MemoryFirewall: true, HeapGuard: true, ShadowStack: true,
+			Monitors: replay.Monitors{MemoryFirewall: true, HeapGuard: true, ShadowStack: true},
 			// Keep the undetected hang cheap: the hard step limit is the
 			// only thing that ends it.
 			MaxSteps: 2 * monitor.DefaultHangBudget,

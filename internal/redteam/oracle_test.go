@@ -67,23 +67,14 @@ func runOracle(t *testing.T, app *webapp.App, name string, input []byte, monitor
 	t.Helper()
 	cov := vm.NewCoverage()
 	cfg := vm.Config{Image: app.Image, Input: input, Coverage: cov, MaxSteps: 2_000_000}
-	var install func(*vm.VM)
 	if monitored {
 		mons := replay.AllMonitors()
 		mons.HangBudget = 200_000
-		plugins, shadow, hang := mons.Plugins()
-		cfg.Plugins = plugins
-		install = func(machine *vm.VM) {
-			shadow.Install(machine)
-			hang.Install(machine)
-		}
+		cfg.Plugins, _, _ = mons.Plugins()
 	}
 	machine, err := vm.New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if install != nil {
-		install(machine)
 	}
 	res := machine.Run()
 	var b strings.Builder

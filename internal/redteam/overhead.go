@@ -120,18 +120,8 @@ func adoptedRepair(s *Setup) ([]*vm.Patch, error) {
 // machine builds a fresh machine that loads input under the row's
 // monitors and patches.
 func (c *Table2Config) machine(app *webapp.App, input []byte) (*vm.VM, error) {
-	plugins, shadow, hang := c.Monitors.Plugins()
-	machine, err := vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: c.Patches})
-	if err != nil {
-		return nil, err
-	}
-	if shadow != nil {
-		shadow.Install(machine)
-	}
-	if hang != nil {
-		hang.Install(machine)
-	}
-	return machine, nil
+	plugins, _, _ := c.Monitors.Plugins()
+	return vm.New(vm.Config{Image: app.Image, Input: input, Plugins: plugins, Patches: c.Patches})
 }
 
 // Load runs input to completion on a fresh machine under the row's

@@ -63,12 +63,15 @@ func AllMonitors() Monitors {
 	}
 }
 
-// Plugins materializes the selected detectors as machine plugins; the
-// second and third results need machine-level installation after vm.New
-// (ShadowStack.Install, HangGuard.Install) and are nil when unselected.
-// Every machine builder that runs under a Monitors value — recording,
-// replay, fuzzing, community nodes — assembles its detector stack here so
-// the configuration can never drift between the recorder and the replayer.
+// Plugins materializes the selected detectors as machine plugins. vm.New
+// installs each one that wires itself into the machine (the shadow stack
+// as stack provider, the hang watch, the firewall's dispatch validator),
+// so the plugin list is all a machine builder needs. The second and third
+// results are the shadow stack and the hang guard among them, nil when
+// unselected; installing them again after vm.New changes nothing. Every
+// machine builder that runs under a Monitors value — recording, replay,
+// fuzzing, community nodes — assembles its detector stack here so the
+// configuration can never drift between the recorder and the replayer.
 func (m Monitors) Plugins() ([]vm.Plugin, *monitor.ShadowStack, *monitor.HangGuard) {
 	var plugins []vm.Plugin
 	var shadow *monitor.ShadowStack
@@ -269,7 +272,7 @@ func Record(id string, img *image.Image, input []byte, deployed []PatchSpec, opt
 // newMachine assembles a machine with the monitor set, patches, and
 // optional tape attached.
 func newMachine(img *image.Image, input []byte, mons Monitors, patches []*vm.Patch, maxSteps uint64, tape *Tape) (*vm.VM, error) {
-	plugins, shadow, hang := mons.Plugins()
+	plugins, _, _ := mons.Plugins()
 	cfg := vm.Config{
 		Image:    img,
 		Input:    input,
@@ -281,17 +284,7 @@ func newMachine(img *image.Image, input []byte, mons Monitors, patches []*vm.Pat
 		cfg.SnapshotInterval = tape.Interval()
 		cfg.SnapshotSink = tape.Sink
 	}
-	machine, err := vm.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if shadow != nil {
-		shadow.Install(machine)
-	}
-	if hang != nil {
-		hang.Install(machine)
-	}
-	return machine, nil
+	return vm.New(cfg)
 }
 
 // compileSpecs turns deployed patch specs into machine patches, skipping

@@ -28,14 +28,21 @@ type blockPlan struct {
 
 // passObs is one observation of the current pass.
 type passObs struct {
-	plan *blockPlan
-	pos  int32
-	val  uint32
+	pos int32
+	val uint32
 }
 
 // Recorder is the learning front end. It is a vm.Plugin and may be shared
-// across sequential runs; each run is committed or discarded via
-// CommitRun / DiscardRun.
+// across sequential runs, one machine at a time: vm.New installs it, and
+// CommitRun or DiscardRun ends that machine's run.
+//
+// It takes both machine events. Install starts the run's outermost frame
+// at the new machine's stack pointer, so stack-pointer offsets are
+// measured from the same entry whatever region Filter traces. EnterBlock
+// starts a new pass at every block entry, so pair relations are tracked
+// only within one execution of a basic block (the same-basic-block
+// restriction), even when a repair suppresses the block's first
+// instruction.
 type Recorder struct {
 	Engine *daikon.Engine
 	// Filter restricts instrumentation to instructions for which it
@@ -45,8 +52,9 @@ type Recorder struct {
 	// (ablation knob; see dup.go).
 	DisableDupElim bool
 
-	// pass is the current block pass's observations: pair relations are
-	// folded against every earlier observation of the pass.
+	// pass is the current block pass's observations, in execution order:
+	// pair relations are folded against every earlier observation of the
+	// pass.
 	pass []passObs
 
 	entrySPs []uint32
@@ -69,6 +77,16 @@ func (r *Recorder) traced(pc uint32) bool {
 	return r.Filter == nil || r.Filter(pc)
 }
 
+// Install implements vm.Installer: the run's outermost frame is entered
+// with the machine's initial stack pointer.
+func (r *Recorder) Install(v *vm.VM) {
+	r.entrySPs = append(r.entrySPs[:0], v.CPU.Regs[isa.ESP])
+}
+
+// EnterBlock implements vm.BlockEnterer: entering a block starts a new
+// pass.
+func (r *Recorder) EnterBlock() { r.pass = r.pass[:0] }
+
 // Instrument implements vm.Plugin.
 func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 	eng := r.Engine
@@ -77,16 +95,6 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 	for i := range b.Insts {
 		in := b.Insts[i]
 		pc := b.Addr(i)
-
-		if i == 0 {
-			// Entering the block starts a new pass: pair relations are
-			// tracked only within one pass (same-basic-block
-			// restriction).
-			b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
-				r.pass = r.pass[:0]
-				return nil
-			})
-		}
 
 		// Call/return bookkeeping keeps the procedure-entry stack-pointer
 		// stack consistent even through untraced regions. It runs at a
@@ -98,7 +106,6 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 		switch {
 		case in.Op.IsCall():
 			b.AddHook(i, prioBookkeeping, func(ctx *vm.Ctx) error {
-				r.lazyInit(ctx)
 				r.entrySPs = append(r.entrySPs, ctx.Reg(isa.ESP)-4)
 				return nil
 			})
@@ -121,7 +128,6 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 		}
 		sp := eng.SP(pc)
 		b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
-			r.lazyInit(ctx)
 			for k, si := range observe {
 				val, err := ctx.EvalSlot(si)
 				if err != nil {
@@ -147,30 +153,17 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 
 // fold folds one observation at position pos of plan into the engine's
 // run: the variable's value, and its pair relation with every earlier
-// observation of the pass. Within a block's own pass positions arrive in
-// order and each pair comes from the plan; a position that recurs, or one
-// from another block because a patch suppressed the instruction that
-// starts a pass, is resolved by key.
+// observation of the pass. A pass is one execution of plan's block, so
+// its positions arrive in order and each pair comes from the plan.
 func (r *Recorder) fold(plan *blockPlan, pos int32, val uint32) {
 	eng := r.Engine
-	v := plan.vars[pos]
-	eng.FoldVar(v, val)
+	eng.FoldVar(plan.vars[pos], val)
 	r.obsCount++
 	row := plan.pairs[pos*(pos-1)/2:]
 	for _, o := range r.pass {
-		if o.plan == plan && o.pos < pos {
-			eng.FoldPair(row[o.pos], o.val, val)
-		} else if ov := o.plan.vars[o.pos]; ov != v {
-			eng.FoldPair(eng.Pair(ov, v), o.val, val)
-		}
+		eng.FoldPair(row[o.pos], o.val, val)
 	}
-	r.pass = append(r.pass, passObs{plan: plan, pos: pos, val: val})
-}
-
-func (r *Recorder) lazyInit(ctx *vm.Ctx) {
-	if len(r.entrySPs) == 0 {
-		r.entrySPs = append(r.entrySPs, ctx.Reg(isa.ESP))
-	}
+	r.pass = append(r.pass, passObs{pos: pos, val: val})
 }
 
 // CommitRun commits the run's observations to the inference engine (the

@@ -27,10 +27,9 @@ const (
 // non-nil error terminates it as a crash.
 type Hook func(ctx *Ctx) error
 
-// hookEntry keeps hooks ordered by (priority, insertion sequence).
+// hookEntry is one attached hook and its priority.
 type hookEntry struct {
 	prio int
-	seq  int
 	h    Hook
 }
 
@@ -52,8 +51,7 @@ type Block struct {
 	Start uint32
 	Insts []isa.Inst
 
-	hooks  [][]hookEntry
-	nextSq int
+	hooks [][]hookEntry
 
 	// links is a 2-entry successor cache so straight-line and
 	// direct-branch dispatch (fallthrough + taken target, or call +
@@ -65,22 +63,21 @@ type Block struct {
 }
 
 // AddHook attaches a hook in front of instruction index i. The entry list
-// stays ordered by (priority, insertion sequence); because sequence numbers
-// are monotonically increasing, the new entry's position is simply after
-// the last entry with priority <= prio — a single backward scan and shift
-// instead of re-sorting the whole list on every insert.
+// stays ordered by priority, and hooks of equal priority in insertion
+// order: the new entry goes after the last entry with priority <= prio —
+// a single backward scan and shift instead of re-sorting the whole list on
+// every insert.
 func (b *Block) AddHook(i, prio int, h Hook) {
 	if b.hooks == nil {
 		b.hooks = make([][]hookEntry, len(b.Insts))
 	}
-	b.nextSq++
 	list := append(b.hooks[i], hookEntry{})
 	pos := len(list) - 1
 	for pos > 0 && list[pos-1].prio > prio {
 		list[pos] = list[pos-1]
 		pos--
 	}
-	list[pos] = hookEntry{prio: prio, seq: b.nextSq, h: h}
+	list[pos] = hookEntry{prio: prio, h: h}
 	b.hooks[i] = list
 }
 

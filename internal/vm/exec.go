@@ -211,7 +211,8 @@ var errHalt = errors.New("halt instruction")
 //
 // The outer loop works a basic block at a time: the hang watch, then
 // dispatch, which records the coverage edge and follows (or fills) the
-// predecessor's successor link. The inner loop runs the block's
+// predecessor's successor link, then the block-entry event
+// (BlockEnterer), ahead of every hook. The inner loop runs the block's
 // instructions. For each one it checks the step limit and the snapshot
 // sink, runs the instruction's hook chain on the reusable hookCtx, then
 // executes the opcode. decodeBlock ends every block at its first
@@ -236,6 +237,9 @@ blocks:
 			return v.crashed(pc, err.Error())
 		}
 		prev = b
+		for _, e := range v.enterers {
+			e.EnterBlock()
+		}
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			addr := b.Addr(i)

@@ -3,7 +3,9 @@
 //
 // All application code executes out of a basic-block code cache. Plugins
 // are given each block once, as it enters the cache, and may attach hooks
-// to individual instructions (instrumentation). Patches attach hooks to
+// to individual instructions (instrumentation); a plugin may also be
+// installed on each new machine (Installer) and told of every block entry
+// (BlockEnterer). Patches attach hooks to
 // instruction addresses through the patch manager and can be applied to and
 // removed from a *running* machine; affected blocks are ejected from the
 // cache so the change takes effect immediately, without a restart and
@@ -18,7 +20,8 @@ import (
 	"repro/internal/mem"
 )
 
-// Default address-space layout.
+// The address-space layout every machine is built with, and the default
+// step limit.
 const (
 	DefaultStackTop  = 0x3000_0000
 	DefaultStackSize = 0x0004_0000
@@ -110,11 +113,34 @@ type RunResult struct {
 // Plugin instruments basic blocks as they enter the code cache. A plugin
 // instance may be shared across VM instances to accumulate state between
 // runs (e.g. the CFG database or the learning engine).
+//
+// A plugin may also take either of the machine's two events by
+// implementing its one method: Installer's Install, once per machine, and
+// BlockEnterer's EnterBlock, once per basic-block entry. New type-asserts
+// each plugin once; there is nothing to register.
 type Plugin interface {
 	Name() string
 	// Instrument may attach hooks to the block's instructions. It is
 	// called exactly once per block per cache insertion.
 	Instrument(v *VM, b *Block)
+}
+
+// Installer is implemented by a plugin that wires itself into each
+// machine beyond per-block hooks (a stack provider, the hang watch, the
+// exception-dispatch validator, per-run state seeded from the initial
+// registers). New calls Install once, on the machine it has just built,
+// before the machine runs. Install must be idempotent: a caller that
+// installs the plugin again changes nothing.
+type Installer interface {
+	Install(v *VM)
+}
+
+// BlockEnterer is implemented by a plugin that must see every execution
+// of a basic block begin. Run calls EnterBlock after each dispatch, before
+// any hook of the block's first instruction runs, so a hook that skips or
+// diverts that instruction cannot suppress it. It is not a hook run.
+type BlockEnterer interface {
+	EnterBlock()
 }
 
 // StackProvider supplies a call-stack snapshot at failure time. The shadow
@@ -126,15 +152,11 @@ type StackProvider interface {
 
 // Config assembles a machine.
 type Config struct {
-	Image     *image.Image
-	Plugins   []Plugin
-	Patches   []*Patch // initial patch set; more may be applied mid-run
-	Input     []byte   // the input stream (sequence of pages)
-	MaxSteps  uint64
-	StackTop  uint32
-	StackSize uint32
-	HeapBase  uint32
-	HeapSize  uint32
+	Image    *image.Image
+	Plugins  []Plugin
+	Patches  []*Patch // initial patch set; more may be applied mid-run
+	Input    []byte   // the input stream (sequence of pages)
+	MaxSteps uint64
 
 	// SnapshotInterval asks the machine to emit a state snapshot to
 	// SnapshotSink every ~interval executed instructions (plus one at step
@@ -157,9 +179,10 @@ type VM struct {
 	Heap  *mem.Heap
 	Image *image.Image
 
-	plugins []Plugin
-	patches *patchSet
-	cache   map[uint32]*Block
+	plugins  []Plugin
+	enterers []BlockEnterer // the plugins that take EnterBlock
+	patches  *patchSet
+	cache    map[uint32]*Block
 	// cacheGen is the code-cache generation; block successor links are
 	// valid only for the generation they were created under, so a patch
 	// flush that ejects a block, and every Restore, invalidates all links
@@ -208,8 +231,10 @@ type VM struct {
 	hangFail   func(pc uint32, steps uint64) *Failure
 }
 
-// New builds a machine, loads the image, maps stack and heap, and points
-// the CPU at the entry point with ESP at the top of the stack.
+// New builds a machine, loads the image, maps stack and heap at the
+// default layout, points the CPU at the entry point with ESP at the top of
+// the stack, applies the initial patches and installs every plugin that
+// implements Installer.
 func New(cfg Config) (*VM, error) {
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("vm: nil image")
@@ -220,27 +245,15 @@ func New(cfg Config) (*VM, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	if cfg.StackTop == 0 {
-		cfg.StackTop = DefaultStackTop
-	}
-	if cfg.StackSize == 0 {
-		cfg.StackSize = DefaultStackSize
-	}
-	if cfg.HeapBase == 0 {
-		cfg.HeapBase = DefaultHeapBase
-	}
-	if cfg.HeapSize == 0 {
-		cfg.HeapSize = DefaultHeapSize
-	}
 	m := mem.New()
 	m.Map(cfg.Image.Base, uint32(len(cfg.Image.Code)))
 	if err := m.WriteBytes(cfg.Image.Base, cfg.Image.Code); err != nil {
 		return nil, err
 	}
-	m.Map(cfg.StackTop-cfg.StackSize, cfg.StackSize)
+	m.Map(DefaultStackTop-DefaultStackSize, DefaultStackSize)
 	v := &VM{
 		Mem:      m,
-		Heap:     mem.NewHeap(m, cfg.HeapBase, cfg.HeapSize),
+		Heap:     mem.NewHeap(m, DefaultHeapBase, DefaultHeapSize),
 		Image:    cfg.Image,
 		plugins:  cfg.Plugins,
 		patches:  newPatchSet(),
@@ -255,10 +268,18 @@ func New(cfg Config) (*VM, error) {
 	v.cov = cfg.Coverage
 	v.hookCtx.VM = v
 	v.CPU.PC = cfg.Image.Entry
-	v.CPU.Regs[isa.ESP] = cfg.StackTop
+	v.CPU.Regs[isa.ESP] = DefaultStackTop
 	for _, p := range cfg.Patches {
 		if err := v.ApplyPatch(p); err != nil {
 			return nil, err
+		}
+	}
+	for _, p := range cfg.Plugins {
+		if e, ok := p.(BlockEnterer); ok {
+			v.enterers = append(v.enterers, e)
+		}
+		if in, ok := p.(Installer); ok {
+			in.Install(v)
 		}
 	}
 	return v, nil

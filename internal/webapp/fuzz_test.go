@@ -26,7 +26,7 @@ func runOnce(t *testing.T, input []byte) vm.RunResult {
 	t.Helper()
 	mons := replay.AllMonitors()
 	mons.HangBudget = 50_000
-	plugins, shadow, hang := mons.Plugins()
+	plugins, _, _ := mons.Plugins()
 	machine, err := vm.New(vm.Config{
 		Image:    fuzzApp.Image,
 		Input:    input,
@@ -36,8 +36,6 @@ func runOnce(t *testing.T, input []byte) vm.RunResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow.Install(machine)
-	hang.Install(machine)
 	return machine.Run()
 }
 

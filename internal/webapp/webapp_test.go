@@ -80,15 +80,13 @@ func TestCorpusRendersUnderMonitors(t *testing.T) {
 	// positives, identical display).
 	app := webapp.MustBuild()
 	plain := bareRun(t, app, redteam.LearningCorpus())
-	ss := monitor.NewShadowStack()
 	guarded, err := vm.New(vm.Config{
 		Image: app.Image, Input: redteam.LearningCorpus(),
-		Plugins: []vm.Plugin{ss, monitor.NewMemoryFirewall(), monitor.NewHeapGuard()},
+		Plugins: []vm.Plugin{monitor.NewShadowStack(), monitor.NewMemoryFirewall(), monitor.NewHeapGuard()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.Install(guarded)
 	res := guarded.Run()
 	if res.Outcome != vm.OutcomeExit {
 		t.Fatalf("monitors fired on legitimate input: %+v", res)
@@ -147,15 +145,13 @@ func TestExploitsBlockedByMonitors(t *testing.T) {
 		"325403": "HeapGuard",
 	}
 	for _, ex := range redteam.Exploits() {
-		ss := monitor.NewShadowStack()
 		machine, err := vm.New(vm.Config{
 			Image: app.Image, Input: redteam.AttackInput(app, ex, 0),
-			Plugins: []vm.Plugin{ss, monitor.NewMemoryFirewall(), monitor.NewHeapGuard()},
+			Plugins: []vm.Plugin{monitor.NewShadowStack(), monitor.NewMemoryFirewall(), monitor.NewHeapGuard()},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss.Install(machine)
 		res := machine.Run()
 		if res.Outcome != vm.OutcomeFailure {
 			t.Errorf("%s: not blocked: %+v", ex.Bugzilla, res)
