@@ -35,19 +35,26 @@
 // memmove, preserving interrupted-copy partial progress, per-byte step
 // accounting, and rep-movsb overlap replication bit-for-bit.
 //
-// internal/vm has one interpreter loop, vm.Run, over a block-linked code
-// cache. Blocks share their instructions with every machine of the image
-// through the image's decode table, once guest memory is checked to
-// still hold the image's code bytes, so a fresh machine pays only for the
-// blocks it runs. Each code-cache block caches its resolved successor
-// *Block pointers, so straight-line and direct-branch dispatch skips the cache
-// map; links carry a cache generation that a patch flush (a walk of the
-// cache) bumps, invalidating all links at once. Within a block, each instruction
-// runs its hook chain (if any) on one reusable Ctx and then executes from
-// a single opcode switch, so plain and instrumented runs alike allocate
-// nothing per instruction (enforced by test). Edge coverage is recorded
-// at the dispatch point on every entry, linked or not, so fuzzing
-// fingerprints are independent of the links.
+// internal/vm has one interpreter loop, vm.Run, over a code cache that is
+// a code table: one image's decoded, instrumented blocks, indexed by the
+// instruction slot each starts on. Machines of one image whose plugins all
+// implement vm.BlockSharer (the five monitors do) share the table kept on
+// the image for their plugin types, so a block is decoded and instrumented
+// once per image and detector set; a plugin that opts in promises that its
+// Instrument depends only on the block and its type, that its hooks
+// capture nothing and reach the machine's own instance through
+// Ctx.Plugin, and that instrumenting has no side effects. Any other plugin
+// (the CFG plugin, the learning recorder) gives its machine a private
+// table, built by the same code. A machine keeps a bitset of the slots it
+// has entered, checking at each first entry that guest memory still holds
+// the image's code bytes, and its own blocks: table blocks a patch covers,
+// with the patch hooks attached, and blocks decoded from guest memory. A
+// patch flush clears the entered bits of the blocks that cover the
+// address and drops the machine's own ones. Within a block, each
+// instruction runs its hooks (if any) on one reusable Ctx and then
+// executes from a single opcode switch, so plain and instrumented runs
+// alike allocate nothing per instruction (enforced by test). Edge coverage
+// is recorded at the dispatch point on every entry.
 //
 //	internal/cfg        dynamic procedure discovery + predominators
 //	internal/trace      Daikon front end (per-instruction operand tracing)

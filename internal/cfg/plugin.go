@@ -17,7 +17,9 @@ func NewPlugin(db *DB) *Plugin { return &Plugin{DB: db} }
 func (p *Plugin) Name() string { return "cfg" }
 
 // Instrument implements vm.Plugin: entering the code cache is the block's
-// first execution, which is the discovery trigger of §2.2.3.
-func (p *Plugin) Instrument(_ *vm.VM, b *vm.Block) {
+// first execution, which is the discovery trigger of §2.2.3. Noting the
+// block is a side effect, so the plugin does not implement vm.BlockSharer
+// and a machine that runs it builds a private code table.
+func (p *Plugin) Instrument(b *vm.Block) {
 	p.DB.NoteBlockExec(b.Start)
 }

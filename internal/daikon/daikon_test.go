@@ -394,6 +394,29 @@ func TestMergeDropsContradicted(t *testing.T) {
 	}
 }
 
+// TestMergeDropsDisagreeingSPOffset: two members that hold one
+// stack-pointer offset with different constants contradict each other, so
+// the merge drops it whichever member merges the other. VarsSeen never
+// holds an sp-offset's variable, so the adoption pass must not take the
+// other member's copy back.
+func TestMergeDropsDisagreeingSPOffset(t *testing.T) {
+	build := func(delta uint32) *DB {
+		e := NewEngine()
+		e.ObserveSP(0x100, delta)
+		return e.Finalize(Options{})
+	}
+	for _, order := range [][2]uint32{{4, 0}, {0, 4}} {
+		a, b := build(order[0]), build(order[1])
+		if _, ok := a.SPOffsetAt(0x100); !ok {
+			t.Fatal("member holds no sp-offset at 0x100")
+		}
+		a.Merge(b, DefaultMaxOneOf)
+		if d, ok := a.SPOffsetAt(0x100); ok {
+			t.Errorf("merging bound %d into %d kept sp-offset %d", order[1], order[0], d)
+		}
+	}
+}
+
 func TestMergeKeepsUnobserved(t *testing.T) {
 	// Invariants about regions the other member never traced survive —
 	// this is what makes amortized distributed learning sound.

@@ -140,7 +140,17 @@ func (db *DB) Merge(other *DB, maxOneOf int) {
 	if maxOneOf <= 0 {
 		maxOneOf = DefaultMaxOneOf
 	}
-	// Invariants present here but contradicted by the other member.
+	// Invariants present here but contradicted by the other member. Each
+	// one both members hold and the merge drops is kept in dropped, so the
+	// second loop does not adopt the other member's copy.
+	var dropped map[string]bool
+	drop := func(id string) {
+		if dropped == nil {
+			dropped = make(map[string]bool)
+		}
+		dropped[id] = true
+		delete(db.ByID, id)
+	}
 	for id, inv := range db.ByID {
 		o, ok := other.ByID[id]
 		if ok {
@@ -148,7 +158,7 @@ func (db *DB) Merge(other *DB, maxOneOf int) {
 			case KindOneOf:
 				merged := unionSorted(inv.Values, o.Values)
 				if len(merged) > maxOneOf {
-					delete(db.ByID, id)
+					drop(id)
 					continue
 				}
 				inv.Values = merged
@@ -158,7 +168,7 @@ func (db *DB) Merge(other *DB, maxOneOf int) {
 				}
 			case KindSPOffset:
 				if o.Bound != inv.Bound {
-					delete(db.ByID, id)
+					drop(id)
 					continue
 				}
 			case KindNonzero:
@@ -180,7 +190,7 @@ func (db *DB) Merge(other *DB, maxOneOf int) {
 				m2, r2 := o.Modulus()
 				m := gcd(gcd(uint64(m1), uint64(m2)), uint64(r1-r2))
 				if m < 2 {
-					delete(db.ByID, id)
+					drop(id)
 					continue
 				}
 				inv.Values = []uint32{uint32(m), r1 % uint32(m)}
@@ -197,7 +207,7 @@ func (db *DB) Merge(other *DB, maxOneOf int) {
 	// Invariants only in the other member's DB survive if we never
 	// observed their variables.
 	for id, o := range other.ByID {
-		if _, ok := db.ByID[id]; ok {
+		if _, ok := db.ByID[id]; ok || dropped[id] {
 			continue
 		}
 		if !db.observedAllVars(o) {

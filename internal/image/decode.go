@@ -22,6 +22,23 @@ func (im *Image) Decoded() []isa.Inst {
 	return im.decoded
 }
 
+// Table returns the first value kept on the image that match accepts, or
+// else keeps and returns the value build makes. It is safe for concurrent
+// use. The vm package keeps its code tables here, one per list of plugin
+// types, so that they are built once per image and collected with it.
+func (im *Image) Table(match func(any) bool, build func() any) any {
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	for _, t := range im.tables {
+		if match(t) {
+			return t
+		}
+	}
+	t := build()
+	im.tables = append(im.tables, t)
+	return t
+}
+
 // InstAt decodes the instruction at pc from the image's code bytes,
 // aligned or not, returning false when the 8 bytes at pc are not all code
 // (pc outside [Base, End-8]) or do not decode.

@@ -13,7 +13,8 @@ import (
 )
 
 // Image is a loadable stripped binary. Its code must not change once a
-// machine has run it: the decode table (see Decoded) is built from it once.
+// machine has run it: the decode table (see Decoded) and the machines'
+// code tables (see Table) are built from it once.
 type Image struct {
 	Base  uint32 // load address of Code[0]
 	Entry uint32 // initial program counter
@@ -21,6 +22,9 @@ type Image struct {
 
 	once    sync.Once
 	decoded []isa.Inst
+
+	mu     sync.Mutex
+	tables []any
 }
 
 // End returns one past the last code address.

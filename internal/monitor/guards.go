@@ -37,12 +37,15 @@ func NewFaultGuard() *FaultGuard { return &FaultGuard{} }
 // Name implements vm.Plugin.
 func (g *FaultGuard) Name() string { return "FaultGuard" }
 
+// ShareBlocks implements vm.BlockSharer.
+func (g *FaultGuard) ShareBlocks() {}
+
 // Instrument implements vm.Plugin: every faultable instruction is checked
 // against its fault condition. Because repairs run at a lower priority, an
 // enforced invariant that clamps a divisor or re-aligns an address is
 // validated on the enforced value, exactly as Memory Firewall validates
 // redirected transfers.
-func (g *FaultGuard) Instrument(_ *vm.VM, b *vm.Block) {
+func (g *FaultGuard) Instrument(b *vm.Block) {
 	for i, in := range b.Insts {
 		if !in.Op.Faultable() {
 			continue
@@ -113,8 +116,11 @@ func NewHangGuard() *HangGuard { return &HangGuard{} }
 // Name implements vm.Plugin.
 func (h *HangGuard) Name() string { return "HangGuard" }
 
+// ShareBlocks implements vm.BlockSharer.
+func (h *HangGuard) ShareBlocks() {}
+
 // Instrument implements vm.Plugin; the watchdog needs no per-block hooks.
-func (h *HangGuard) Instrument(_ *vm.VM, _ *vm.Block) {}
+func (h *HangGuard) Instrument(*vm.Block) {}
 
 // EffectiveBudget returns the armed budget.
 func (h *HangGuard) EffectiveBudget() uint64 {

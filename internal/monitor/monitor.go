@@ -15,6 +15,12 @@
 // state and must be constructed fresh for each VM instance. A monitor that
 // wires itself into the machine beyond per-block hooks (MemoryFirewall,
 // ShadowStack, HangGuard) does so in Install, which vm.New calls.
+//
+// Every monitor implements vm.BlockSharer: its hooks are plain functions
+// that capture nothing and reach the machine's own instance, where its
+// per-run state lives (the shadow stack's return sites, Heap Guard's
+// Enabled switch), through vm.Ctx.Plugin. So machines of one image under
+// one detector set share their instrumented blocks.
 package monitor
 
 import (
@@ -34,6 +40,9 @@ func NewMemoryFirewall() *MemoryFirewall { return &MemoryFirewall{} }
 // Name implements vm.Plugin.
 func (m *MemoryFirewall) Name() string { return "MemoryFirewall" }
 
+// ShareBlocks implements vm.BlockSharer.
+func (m *MemoryFirewall) ShareBlocks() {}
+
 // Install implements vm.Installer: the firewall registers itself as the
 // machine's transfer validator so that exception-handler dispatch (a
 // control transfer that does not correspond to a decoded instruction) is
@@ -44,30 +53,33 @@ func (m *MemoryFirewall) Install(v *vm.VM) { v.SetTransferValidator(validateDisp
 // just before it executes. Because repair patches run at a lower priority,
 // an enforced invariant that redirects the transfer is validated on the
 // redirected target.
-func (m *MemoryFirewall) Instrument(_ *vm.VM, b *vm.Block) {
+func (m *MemoryFirewall) Instrument(b *vm.Block) {
 	for i, in := range b.Insts {
-		if !in.Op.IsIndirect() {
-			continue
+		if in.Op.IsIndirect() {
+			b.AddHook(i, vm.PrioMonitor, checkTransfer)
 		}
-		b.AddHook(i, vm.PrioMonitor, func(ctx *vm.Ctx) error {
-			target, err := ctx.TransferTarget()
-			if err != nil {
-				// The transfer itself will fault; let the interpreter
-				// turn it into a crash.
-				return nil
-			}
-			if !ctx.VM.InCode(target) {
-				return &vm.Failure{
-					PC:      ctx.PC,
-					Monitor: "MemoryFirewall",
-					Kind:    "illegal control flow transfer",
-					Detail:  fmt.Sprintf("%s to %#x", ctx.Inst.Op, target),
-					Target:  target,
-				}
-			}
-			return nil
-		})
 	}
+}
+
+// checkTransfer fails an indirect transfer whose target lies outside the
+// original code.
+func checkTransfer(ctx *vm.Ctx) error {
+	target, err := ctx.TransferTarget()
+	if err != nil {
+		// The transfer itself will fault; let the interpreter turn it
+		// into a crash.
+		return nil
+	}
+	if !ctx.VM.InCode(target) {
+		return &vm.Failure{
+			PC:      ctx.PC,
+			Monitor: "MemoryFirewall",
+			Kind:    "illegal control flow transfer",
+			Detail:  fmt.Sprintf("%s to %#x", ctx.Inst.Op, target),
+			Target:  target,
+		}
+	}
+	return nil
 }
 
 // validateDispatch is Memory Firewall's exception-dispatch check: the
@@ -98,50 +110,59 @@ func NewHeapGuard() *HeapGuard { return &HeapGuard{Enabled: true} }
 // Name implements vm.Plugin.
 func (h *HeapGuard) Name() string { return "HeapGuard" }
 
+// ShareBlocks implements vm.BlockSharer.
+func (h *HeapGuard) ShareBlocks() {}
+
 // Instrument implements vm.Plugin: every write into the heap arena is
 // checked. If the written location currently holds the canary value, the
 // allocation map disambiguates a legitimate in-bounds write of the canary
 // value from an out-of-bounds write onto a block boundary.
-func (h *HeapGuard) Instrument(_ *vm.VM, b *vm.Block) {
+func (h *HeapGuard) Instrument(b *vm.Block) {
 	for i, in := range b.Insts {
 		switch {
 		case in.Op.IsStore():
-			b.AddHook(i, vm.PrioMonitor, func(ctx *vm.Ctx) error {
-				if !h.Enabled {
-					return nil
-				}
-				return h.checkWrite(ctx, ctx.EffAddr(), ctx.Inst.Op.String())
-			})
+			b.AddHook(i, vm.PrioMonitor, checkStore)
 		case in.Op == isa.COPYB:
-			// A block copy is a sequence of byte writes; the guard scans
-			// the destination range for the first boundary violation,
-			// just as per-write instrumentation of rep movsb would.
-			b.AddHook(i, vm.PrioMonitor, func(ctx *vm.Ctx) error {
-				if !h.Enabled {
-					return nil
-				}
-				dst := ctx.Reg(isa.EDI)
-				count := ctx.Reg(isa.ECX)
-				const scanCap = 1 << 20 // bound work on absurd counts
-				if count > scanCap {
-					count = scanCap
-				}
-				for off := uint32(0); off < count; off++ {
-					if err := h.checkWrite(ctx, dst+off, "copyb"); err != nil {
-						return err
-					}
-					if !ctx.VM.Heap.Contains(dst + off) {
-						break // left the heap arena; faults handle the rest
-					}
-				}
-				return nil
-			})
+			b.AddHook(i, vm.PrioMonitor, checkCopy)
 		}
 	}
 }
 
+// checkStore checks one store, unless this machine's guard is disabled.
+func checkStore(ctx *vm.Ctx) error {
+	if !ctx.Plugin().(*HeapGuard).Enabled {
+		return nil
+	}
+	return checkWrite(ctx, ctx.EffAddr(), ctx.Inst.Op.String())
+}
+
+// checkCopy checks a block copy, unless this machine's guard is disabled.
+// A block copy is a sequence of byte writes; the guard scans the
+// destination range for the first boundary violation, just as per-write
+// instrumentation of rep movsb would.
+func checkCopy(ctx *vm.Ctx) error {
+	if !ctx.Plugin().(*HeapGuard).Enabled {
+		return nil
+	}
+	dst := ctx.Reg(isa.EDI)
+	count := ctx.Reg(isa.ECX)
+	const scanCap = 1 << 20 // bound work on absurd counts
+	if count > scanCap {
+		count = scanCap
+	}
+	for off := uint32(0); off < count; off++ {
+		if err := checkWrite(ctx, dst+off, "copyb"); err != nil {
+			return err
+		}
+		if !ctx.VM.Heap.Contains(dst + off) {
+			break // left the heap arena; faults handle the rest
+		}
+	}
+	return nil
+}
+
 // checkWrite applies the canary test to one written address.
-func (h *HeapGuard) checkWrite(ctx *vm.Ctx, addr uint32, what string) error {
+func checkWrite(ctx *vm.Ctx, addr uint32, what string) error {
 	heap := ctx.VM.Heap
 	if !heap.Contains(addr) {
 		return nil
@@ -177,6 +198,9 @@ func NewShadowStack() *ShadowStack { return &ShadowStack{} }
 // Name implements vm.Plugin.
 func (s *ShadowStack) Name() string { return "ShadowStack" }
 
+// ShareBlocks implements vm.BlockSharer.
+func (s *ShadowStack) ShareBlocks() {}
+
 // Install implements vm.Installer: it registers the shadow stack as the
 // machine's stack provider.
 func (s *ShadowStack) Install(v *vm.VM) { v.SetStackProvider(s) }
@@ -187,24 +211,32 @@ func (s *ShadowStack) Install(v *vm.VM) { v.SetStackProvider(s) }
 // after the failure detectors so that a transfer Memory Firewall rejects is
 // never accounted as having happened (the failing call is not yet on the
 // stack; the failing return has not yet popped its frame).
-func (s *ShadowStack) Instrument(_ *vm.VM, b *vm.Block) {
+func (s *ShadowStack) Instrument(b *vm.Block) {
 	const prioBookkeeping = vm.PrioMonitor + 5
 	for i, in := range b.Insts {
 		switch {
 		case in.Op.IsCall():
-			b.AddHook(i, prioBookkeeping, func(ctx *vm.Ctx) error {
-				s.rets = append(s.rets, ctx.PC+isa.InstSize)
-				return nil
-			})
+			b.AddHook(i, prioBookkeeping, pushReturn)
 		case in.Op == isa.RET:
-			b.AddHook(i, prioBookkeeping, func(ctx *vm.Ctx) error {
-				if len(s.rets) > 0 {
-					s.rets = s.rets[:len(s.rets)-1]
-				}
-				return nil
-			})
+			b.AddHook(i, prioBookkeeping, popReturn)
 		}
 	}
+}
+
+// pushReturn pushes a call's return site onto this machine's shadow stack.
+func pushReturn(ctx *vm.Ctx) error {
+	s := ctx.Plugin().(*ShadowStack)
+	s.rets = append(s.rets, ctx.PC+isa.InstSize)
+	return nil
+}
+
+// popReturn pops this machine's shadow stack at a return.
+func popReturn(ctx *vm.Ctx) error {
+	s := ctx.Plugin().(*ShadowStack)
+	if len(s.rets) > 0 {
+		s.rets = s.rets[:len(s.rets)-1]
+	}
+	return nil
 }
 
 // StackSnapshot implements vm.StackProvider: the return sites of the

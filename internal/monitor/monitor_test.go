@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -240,5 +241,48 @@ func TestShadowStackDepthBalanced(t *testing.T) {
 	}
 	if ss.Depth() != 0 {
 		t.Errorf("depth = %d after balanced calls", ss.Depth())
+	}
+}
+
+// TestShadowStacksPerMachine: two machines on one image share the shadow
+// stack's hooks, and each keeps its own stack. The program exits from
+// inside f (no input) or g (input), one or two frames deep.
+func TestShadowStacksPerMachine(t *testing.T) {
+	im, labels := buildImage(t, func(a *asm.Assembler) {
+		a.Label("main")
+		a.Label("callf")
+		a.Call("f")
+		a.Halt()
+		a.Label("f")
+		a.Sys(isa.SysInAvail)
+		a.CmpRI(isa.EAX, 0)
+		a.Je("leaf")
+		a.Label("callg")
+		a.Call("g")
+		a.Label("leaf")
+		a.MovRI(isa.EAX, 0)
+		a.Sys(isa.SysExit)
+		a.Label("g")
+		a.Jmp("leaf")
+	})
+	shallow, deep := NewShadowStack(), NewShadowStack()
+	for _, m := range []struct {
+		s     *ShadowStack
+		input []byte
+	}{{shallow, nil}, {deep, []byte("x")}} {
+		v, err := vm.New(vm.Config{Image: im, Input: m.input, Plugins: []vm.Plugin{m.s}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := v.Run(); res.Outcome != vm.OutcomeExit {
+			t.Fatalf("input %q: %+v", m.input, res)
+		}
+	}
+	ret := func(label string) uint32 { return labels[label] + isa.InstSize }
+	if got, want := shallow.StackSnapshot(), []uint32{ret("callf")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("first machine's stack %#x, want %#x", got, want)
+	}
+	if got, want := deep.StackSnapshot(), []uint32{ret("callg"), ret("callf")}; !reflect.DeepEqual(got, want) {
+		t.Errorf("second machine's stack %#x, want %#x", got, want)
 	}
 }

@@ -90,3 +90,40 @@ func TestHeapGuardDisableMidRun(t *testing.T) {
 		t.Fatalf("disabled guard still fired: %+v", res)
 	}
 }
+
+// TestHeapGuardEnabledPerMachine: machines of one image under one detector
+// set share their instrumented blocks, but Enabled belongs to each
+// machine's own guard: disabling one leaves the other detecting.
+func TestHeapGuardEnabledPerMachine(t *testing.T) {
+	im, labels := buildImage(t, func(a *asm.Assembler) {
+		a.Label("main")
+		a.MovRI(isa.EAX, 8)
+		a.Sys(isa.SysAlloc)
+		a.MovRR(isa.EBX, isa.EAX)
+		a.MovRI(isa.ECX, 0x33)
+		a.Label("oob")
+		a.Store(asm.M(isa.EBX, 8), isa.ECX)
+		a.MovRI(isa.EAX, 0)
+		a.Sys(isa.SysExit)
+	})
+	off, on := NewHeapGuard(), NewHeapGuard()
+	off.Enabled = false
+	quiet, err := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{off}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := quiet.Run(); res.Outcome != vm.OutcomeExit {
+		t.Fatalf("disabled guard fired: %+v", res)
+	}
+	guarded, err := vm.New(vm.Config{Image: im, Plugins: []vm.Plugin{on}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := guarded.Run()
+	if res.Outcome != vm.OutcomeFailure || res.Failure.PC != labels["oob"] {
+		t.Fatalf("enabled guard on the shared table: %+v, want a failure at %#x", res, labels["oob"])
+	}
+	if n := guarded.BlocksBuilt(); n != 0 {
+		t.Errorf("the second machine built %d blocks; the table was not shared", n)
+	}
+}

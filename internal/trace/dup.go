@@ -20,76 +20,78 @@ import (
 // from one address stay distinct variables — which keeps the analysis
 // conservative in the presence of aliasing.
 
-// dupSlots returns, for each instruction of the block, which slot
-// observations are statically known duplicates of an earlier variable.
-func dupSlots(b *vm.Block) [][]bool {
-	known := map[isa.Reg]bool{}
-	out := make([][]bool, len(b.Insts))
+// dupSlots returns, for each instruction of the block, a bitmask of the
+// slot observations that are statically known duplicates of an earlier
+// variable: bit si stands for slot si.
+func dupSlots(b *vm.Block) []uint8 {
+	var known uint16 // bit r: register r holds a value already observed
+	out := make([]uint8, len(b.Insts))
 	for i, in := range b.Insts {
-		slots := isa.Slots(in)
-		dup := make([]bool, len(slots))
-		for si, sp := range slots {
+		for si := 0; ; si++ {
+			sp, ok := isa.Slot(in, si)
+			if !ok {
+				break
+			}
 			switch sp.Kind {
 			case isa.SlotRegA, isa.SlotRegB, isa.SlotRegX:
-				if known[sp.Reg] {
-					dup[si] = true
+				if known&(1<<sp.Reg) != 0 {
+					out[i] |= 1 << si
 				} else {
 					// First observation of this register value becomes
 					// the canonical variable.
-					known[sp.Reg] = true
+					known |= 1 << sp.Reg
 				}
 			}
 		}
-		out[i] = dup
-		applyWriteEffects(in, known)
+		known = applyWriteEffects(in, known)
 	}
 	return out
 }
 
-// applyWriteEffects updates register knowledge after one instruction.
-func applyWriteEffects(in isa.Inst, known map[isa.Reg]bool) {
-	invalidate := func(r isa.Reg) { delete(known, r) }
+// applyWriteEffects returns the register knowledge after one instruction.
+func applyWriteEffects(in isa.Inst, known uint16) uint16 {
 	switch in.Op {
 	case isa.MOVRR:
 		// Pure copy: A now holds B's (just-observed) value.
-		known[in.A] = true
+		known |= 1 << in.A
 	case isa.LOAD, isa.LOADB, isa.LOADA, isa.POP:
 		// A holds exactly the value observed at this instruction's
 		// memval slot.
-		known[in.A] = true
+		known |= 1 << in.A
 		if in.Op == isa.POP {
-			invalidate(isa.ESP)
+			known &^= 1 << isa.ESP
 		}
 	case isa.MOVRI, isa.LEA,
 		isa.ADDRR, isa.ADDRI, isa.SUBRR, isa.SUBRI, isa.MULRR, isa.MULRI,
 		isa.DIVRR, isa.MODRR,
 		isa.ANDRR, isa.ANDRI, isa.ORRR, isa.ORRI, isa.XORRR, isa.XORRI,
 		isa.SHLRI, isa.SHRRI, isa.SARRI, isa.SEXTB:
-		invalidate(in.A)
+		known &^= 1 << in.A
 	case isa.PUSH, isa.PUSHI:
-		invalidate(isa.ESP)
+		known &^= 1 << isa.ESP
 	case isa.CALL, isa.CALLR, isa.CALLM, isa.RET:
-		invalidate(isa.ESP)
-		invalidate(isa.EAX)
+		known &^= 1<<isa.ESP | 1<<isa.EAX
 	case isa.SYS:
-		invalidate(isa.EAX)
+		known &^= 1 << isa.EAX
 	case isa.COPYB:
-		invalidate(isa.ECX)
-		invalidate(isa.ESI)
-		invalidate(isa.EDI)
+		known &^= 1<<isa.ECX | 1<<isa.ESI | 1<<isa.EDI
 	}
+	return known
 }
 
-// observedSlots returns the slot indices to record for instruction i of
-// the block, honouring duplicate elimination unless disabled.
-func (r *Recorder) observedSlots(dups [][]bool, i int, in isa.Inst) []int {
-	slots := isa.Slots(in)
-	out := make([]int, 0, len(slots))
-	for si := range slots {
-		if !r.DisableDupElim && dups[i][si] {
-			continue
+// observedSlots returns a bitmask of the slots to record for instruction
+// i of the block (bit si stands for slot si), honouring duplicate
+// elimination unless disabled.
+func (r *Recorder) observedSlots(dups []uint8, i int, in isa.Inst) uint8 {
+	var all uint8
+	for si := 0; ; si++ {
+		if _, ok := isa.Slot(in, si); !ok {
+			break
 		}
-		out = append(out, si)
+		all |= 1 << si
 	}
-	return out
+	if r.DisableDupElim {
+		return all
+	}
+	return all &^ dups[i]
 }

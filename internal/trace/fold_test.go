@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func (r *bufferedRecorder) Install(v *vm.VM) { r.entrySPs = []uint32{v.CPU.Regs[
 
 func (r *bufferedRecorder) EnterBlock() { r.closePass() }
 
-func (r *bufferedRecorder) Instrument(_ *vm.VM, b *vm.Block) {
+func (r *bufferedRecorder) Instrument(b *vm.Block) {
 	dups := dupSlots(b)
 	for i := range b.Insts {
 		in, pc := b.Insts[i], b.Addr(i)
@@ -51,7 +52,8 @@ func (r *bufferedRecorder) Instrument(_ *vm.VM, b *vm.Block) {
 		}
 		observe := (&Recorder{}).observedSlots(dups, i, in)
 		b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
-			for _, si := range observe {
+			for m := observe; m != 0; m &= m - 1 {
+				si := bits.TrailingZeros8(m)
 				if val, err := ctx.EvalSlot(si); err == nil {
 					r.cur = append(r.cur, daikon.Obs{Var: daikon.VarID{PC: pc, Slot: uint8(si)}, Val: val})
 				}

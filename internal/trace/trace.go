@@ -13,6 +13,8 @@
 package trace
 
 import (
+	"math/bits"
+
 	"repro/internal/daikon"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -87,8 +89,10 @@ func (r *Recorder) Install(v *vm.VM) {
 // pass.
 func (r *Recorder) EnterBlock() { r.pass = r.pass[:0] }
 
-// Instrument implements vm.Plugin.
-func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
+// Instrument implements vm.Plugin. The recorder's plans depend on its
+// engine and Filter, so it does not implement vm.BlockSharer: a machine
+// that runs it instruments a private code table.
+func (r *Recorder) Instrument(b *vm.Block) {
 	eng := r.Engine
 	dups := dupSlots(b)
 	plan := &blockPlan{}
@@ -123,19 +127,21 @@ func (r *Recorder) Instrument(_ *vm.VM, b *vm.Block) {
 		}
 		observe := r.observedSlots(dups, i, in)
 		first := int32(len(plan.vars))
-		for _, si := range observe {
-			plan.vars = append(plan.vars, eng.Var(daikon.VarID{PC: pc, Slot: uint8(si)}))
+		for m := observe; m != 0; m &= m - 1 {
+			plan.vars = append(plan.vars, eng.Var(daikon.VarID{PC: pc, Slot: uint8(bits.TrailingZeros8(m))}))
 		}
 		sp := eng.SP(pc)
 		b.AddHook(i, vm.PrioTrace, func(ctx *vm.Ctx) error {
-			for k, si := range observe {
-				val, err := ctx.EvalSlot(si)
-				if err != nil {
-					// The observed address is unmapped; the instruction
-					// is about to fault. Record nothing for this slot.
-					continue
+			pos := first
+			for m := observe; m != 0; m &= m - 1 {
+				val, err := ctx.EvalSlot(bits.TrailingZeros8(m))
+				if err == nil {
+					r.fold(plan, pos, val)
 				}
-				r.fold(plan, first+int32(k), val)
+				// Otherwise the observed address is unmapped and the
+				// instruction is about to fault: nothing is recorded for
+				// this slot.
+				pos++
 			}
 			eng.FoldSP(sp, r.entrySPs[len(r.entrySPs)-1]-ctx.Reg(isa.ESP))
 			return nil

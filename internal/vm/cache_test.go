@@ -12,15 +12,15 @@ import (
 )
 
 // loopProgram builds a two-block loop: "loop" body block and a counter
-// decrement block, so the loop→body edge is dispatched through a
-// successor link after the first iteration.
+// decrement block, so after the first iteration each block is re-entered
+// straight from the code table.
 func loopProgram(t testing.TB, iters int32) (*VM, map[string]uint32) {
 	im, labels := buildImage(t, func(a *asm.Assembler) {
 		a.Label("main")
 		a.MovRI(isa.EBX, iters)
 		a.Label("loop")
 		a.AddRI(isa.EAX, 1)
-		a.Jmp("dec") // separate block so loop→dec→loop uses links
+		a.Jmp("dec") // separate block so loop→dec→loop re-enters both
 		a.Label("dec")
 		a.SubRI(isa.EBX, 1)
 		a.CmpRI(isa.EBX, 0)
@@ -35,11 +35,11 @@ func loopProgram(t testing.TB, iters int32) (*VM, map[string]uint32) {
 	return v, labels
 }
 
-// TestApplyPatchInvalidatesLinks: a patch applied mid-run (from a hook in
-// another block) must take effect on the very next execution of the
-// patched block, even though the dispatcher reached that block through a
-// cached successor link on every prior iteration.
-func TestApplyPatchInvalidatesLinks(t *testing.T) {
+// TestApplyPatchTakesEffectAtNextEntry: a patch applied mid-run (from a
+// hook in another block) must take effect on the very next execution of
+// the patched block, even though the machine had entered that block from
+// the code table on every prior iteration.
+func TestApplyPatchTakesEffectAtNextEntry(t *testing.T) {
 	v, labels := loopProgram(t, 10)
 	decHits := 0
 	var applied bool
@@ -67,17 +67,18 @@ func TestApplyPatchInvalidatesLinks(t *testing.T) {
 		t.Fatalf("res = %+v", res)
 	}
 	// The loop hook observes EAX before the increment, so EAX==4 on
-	// iteration 5; the dec block has already run 4 times unpatched and
-	// been linked. Iterations 5..10 must see the probe: 6 hits. A stale
-	// link would keep running the old uninstrumented block.
+	// iteration 5; the dec block has already run 4 times unpatched from
+	// the table. Iterations 5..10 must see the probe: 6 hits. A slot left
+	// marked entered would keep running the unpatched table block.
 	if decHits != 6 {
-		t.Fatalf("probe hook ran %d times, want 6 (stale successor link?)", decHits)
+		t.Fatalf("probe hook ran %d times, want 6 (patch flush missed the entered slot?)", decHits)
 	}
 }
 
-// TestRemovePatchInvalidatesLinks: removing a patch mid-run must stop its
-// hook from firing even though the patched block is reached via links.
-func TestRemovePatchInvalidatesLinks(t *testing.T) {
+// TestRemovePatchTakesEffectAtNextEntry: removing a patch mid-run must
+// stop its hook from firing at the patched block's next entry, although
+// the machine keeps its own patched copy of that block.
+func TestRemovePatchTakesEffectAtNextEntry(t *testing.T) {
 	v, labels := loopProgram(t, 10)
 	decHits := 0
 	if err := v.ApplyPatch(&Patch{
@@ -107,90 +108,14 @@ func TestRemovePatchInvalidatesLinks(t *testing.T) {
 	// iteration 5's loop hook (EAX==4 pre-increment), before that
 	// iteration's dec block: 4 hits.
 	if decHits != 4 {
-		t.Fatalf("probe hook ran %d times, want 4 (stale successor link kept old block?)", decHits)
-	}
-}
-
-// TestLinkRefreshAfterGenBump: after a cache-generation bump, re-dispatching
-// a successor whose pc already occupies a link slot (with a stale gen) must
-// refresh that slot in place. Claiming the round-robin slot instead would
-// duplicate one successor across both slots and evict the other live target,
-// thrashing the link cache on every two-successor block after each patch.
-func TestLinkRefreshAfterGenBump(t *testing.T) {
-	im, labels := buildImage(t, func(a *asm.Assembler) {
-		a.Label("main")
-		a.CmpRI(isa.EAX, 0)
-		a.Je("even")
-		a.Label("odd")
-		a.AddRI(isa.ESI, 1)
-		a.Jmp("join")
-		a.Label("even")
-		a.AddRI(isa.EDI, 1)
-		a.Jmp("join")
-		a.Label("join")
-		a.MovRI(isa.EAX, 0)
-		a.Sys(isa.SysExit)
-	})
-	v, err := New(Config{Image: im})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := v.fetchBlock(labels["main"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm both slots: head→odd and head→even.
-	if _, err := v.dispatch(head, labels["odd"]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.dispatch(head, labels["even"]); err != nil {
-		t.Fatal(err)
-	}
-	slots := func() map[uint32]bool {
-		m := map[uint32]bool{}
-		for _, l := range head.links {
-			if l.b != nil {
-				m[l.pc] = true
-			}
-		}
-		return m
-	}
-	if s := slots(); !s[labels["odd"]] || !s[labels["even"]] {
-		t.Fatalf("warmup did not fill both slots: %v", s)
-	}
-	// A patch on an unrelated cached block bumps the generation, orphaning
-	// both links without changing their pcs.
-	if err := v.ApplyPatch(&Patch{ID: "bump", Addr: labels["join"], Prio: PrioTrace,
-		Hook: func(*Ctx) error { return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-dispatch each successor several times, alternating. With in-place
-	// refresh the two slots settle immediately; with blind round-robin
-	// claiming, each dispatch evicts the other successor and at least one
-	// later dispatch misses the link cache again.
-	for pass := 0; pass < 3; pass++ {
-		if _, err := v.dispatch(head, labels["odd"]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.dispatch(head, labels["even"]); err != nil {
-			t.Fatal(err)
-		}
-		s := slots()
-		if !s[labels["odd"]] || !s[labels["even"]] {
-			t.Fatalf("pass %d: link slots thrashed after gen bump: %v", pass, s)
-		}
-	}
-	for i, l := range head.links {
-		if l.b != nil && l.gen != v.cacheGen {
-			t.Fatalf("slot %d still stale after re-dispatch: gen %d, want %d", i, l.gen, v.cacheGen)
-		}
+		t.Fatalf("probe hook ran %d times, want 4 (patch flush kept the patched copy?)", decHits)
 	}
 }
 
 // TestCoverageCountsLinkedDispatch: edge coverage is recorded at the
-// dispatch point, so hit counts must reflect every block entry — linked
-// fast dispatches included — or fuzz fingerprints would change with the
-// optimization.
+// dispatch point, so hit counts must reflect every block entry — entries
+// read straight from the code table included — or fuzz fingerprints would
+// change with the code cache.
 func TestCoverageCountsLinkedDispatch(t *testing.T) {
 	const iters = 25
 	cov := NewCoverage()
@@ -216,12 +141,12 @@ func TestCoverageCountsLinkedDispatch(t *testing.T) {
 	}
 	// Iteration 1 enters dec from the entry block (whose start is main,
 	// not loop — labels do not end blocks); iterations 2..25 re-enter it
-	// from the block starting at loop, through the successor link.
+	// from the block starting at loop, straight from the code table.
 	if got := cov.Hits(Edge{From: labels["main"], To: labels["dec"]}); got != 1 {
 		t.Fatalf("main→dec edge hits = %d, want 1", got)
 	}
 	if got := cov.Hits(Edge{From: labels["loop"], To: labels["dec"]}); got != iters-1 {
-		t.Fatalf("loop→dec edge hits = %d, want %d (linked dispatch skipped coverage?)", got, iters-1)
+		t.Fatalf("loop→dec edge hits = %d, want %d (table dispatch skipped coverage?)", got, iters-1)
 	}
 	if got := cov.Hits(Edge{From: labels["dec"], To: labels["loop"]}); got != iters-1 {
 		t.Fatalf("dec→loop edge hits = %d, want %d", got, iters-1)
@@ -229,7 +154,7 @@ func TestCoverageCountsLinkedDispatch(t *testing.T) {
 }
 
 // TestCoverageHashStableAcrossRuns: the fingerprint the fuzzer depends on
-// must be bit-for-bit reproducible under the linked dispatcher.
+// must be bit-for-bit reproducible.
 func TestCoverageHashStableAcrossRuns(t *testing.T) {
 	run := func() uint64 {
 		cov := NewCoverage()
@@ -421,5 +346,35 @@ func TestCopyBReplicationPattern(t *testing.T) {
 	}
 	if v.steps != 10 {
 		t.Fatalf("steps = %d, want 10", v.steps)
+	}
+}
+
+// sharingPlugin shares its instrumentation, which attaches nothing.
+type sharingPlugin struct{}
+
+func (sharingPlugin) Name() string      { return "sharing" }
+func (sharingPlugin) Instrument(*Block) {}
+func (sharingPlugin) ShareBlocks()      {}
+
+// TestSharedTableLookupAllocatesNothing: finding the code table an image
+// keeps for a list of plugin types allocates nothing, and the list is
+// matched by type and order, not by instance.
+func TestSharedTableLookupAllocatesNothing(t *testing.T) {
+	im, _ := buildImage(t, func(a *asm.Assembler) { a.Sys(isa.SysExit) })
+	plugins := []Plugin{sharingPlugin{}, &sharingPlugin{}}
+	want := codeTableFor(im, plugins)
+	if got := codeTableFor(im, []Plugin{sharingPlugin{}, &sharingPlugin{}}); got != want {
+		t.Fatal("fresh instances of the same types got another table")
+	}
+	if got := codeTableFor(im, []Plugin{&sharingPlugin{}, sharingPlugin{}}); got == want {
+		t.Fatal("the same types in another order got the same table")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if codeTableFor(im, plugins) != want {
+			t.Fatal("lookup returned another table")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("table lookup allocated %.0f times", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/asm"
@@ -140,41 +139,6 @@ func TestRestoreRunsOverwrittenCode(t *testing.T) {
 	}
 }
 
-// TestFreshImageConcurrentFirstUse: machines on one fresh image may build
-// and share its decode table from several goroutines at once (run with
-// -race).
-func TestFreshImageConcurrentFirstUse(t *testing.T) {
-	for round := 0; round < 4; round++ {
-		im, _ := overwriteProgram(t)
-		var wg sync.WaitGroup
-		errs := make(chan error, 8)
-		for g := 0; g < cap(errs); g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var input []byte
-				want := uint32(7)
-				if g%2 == 1 {
-					input, want = []byte("x"), 42
-				}
-				v, err := New(Config{Image: im, Input: input})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res := v.Run(); res.Outcome != OutcomeExit || res.ExitCode != want {
-					errs <- fmt.Errorf("goroutine %d: %+v, want exit %d", g, res, want)
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
-	}
-}
-
 // guestDecode is the decoder every block used before the image's decode
 // table: read each instruction from guest memory through the first block
 // terminator.
@@ -230,7 +194,7 @@ func TestSharedDecodeMatchesGuestDecode(t *testing.T) {
 		}
 		for pc := im.Base - 2*isa.InstSize; pc < im.End()+2*isa.InstSize; pc++ {
 			want, wantErr := guestDecode(v, pc)
-			b, err := v.decodeBlock(pc)
+			b, _, err := v.decodeBlock(pc)
 			switch {
 			case wantErr != nil || err != nil:
 				if fmt.Sprint(err) != fmt.Sprint(wantErr) {

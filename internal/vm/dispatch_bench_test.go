@@ -13,7 +13,7 @@ import (
 // loop whose trip count arrives via the input stream, so one Run can be
 // scaled to exactly b.N loop iterations. The 9-instruction body is
 // straight-line arithmetic plus a store/load pair, ending in a conditional
-// backward branch — the shape successor links are built for.
+// backward branch, so every iteration re-enters the same table slot.
 func buildHotImage(t testing.TB) *image.Image {
 	im, _ := buildImage(t, func(a *asm.Assembler) {
 		a.Label("main")
@@ -91,7 +91,7 @@ func BenchmarkDispatchCoverage(b *testing.B) {
 // instruction — the fully instrumented worst case.
 func BenchmarkDispatchHooked(b *testing.B) {
 	var hooks uint64
-	pl := pluginFunc{name: "bench-trace", f: func(v *VM, blk *Block) {
+	pl := pluginFunc{name: "bench-trace", f: func(blk *Block) {
 		for i := range blk.Insts {
 			blk.AddHook(i, PrioTrace, func(ctx *Ctx) error {
 				hooks++
@@ -151,8 +151,8 @@ func BenchmarkCopyB(b *testing.B) {
 // pluginFunc adapts a function to the Plugin interface for benchmarks.
 type pluginFunc struct {
 	name string
-	f    func(*VM, *Block)
+	f    func(*Block)
 }
 
-func (p pluginFunc) Name() string               { return p.name }
-func (p pluginFunc) Instrument(v *VM, b *Block) { p.f(v, b) }
+func (p pluginFunc) Name() string        { return p.name }
+func (p pluginFunc) Instrument(b *Block) { p.f(b) }

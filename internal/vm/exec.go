@@ -17,6 +17,7 @@ type Ctx struct {
 	PC   uint32
 	Inst isa.Inst
 
+	owner          uint16 // the running hook's owner (see hookEntry)
 	skip           bool
 	hasJump        bool
 	hasOverride    bool
@@ -32,6 +33,16 @@ func (c *Ctx) reset(pc uint32, in isa.Inst) {
 	c.skip = false
 	c.hasJump = false
 	c.hasOverride = false
+}
+
+// Plugin returns this machine's instance of the plugin that attached the
+// running hook, or nil when the hook is a patch's. A hook that machines
+// share (see BlockSharer) reaches its per-machine state through it.
+func (c *Ctx) Plugin() Plugin {
+	if c.owner == 0 {
+		return nil
+	}
+	return c.VM.plugins[c.owner-1]
 }
 
 // Skip suppresses the instruction's execution; control falls through to the
@@ -209,15 +220,16 @@ var errHalt = errors.New("halt instruction")
 // interpreter: each opcode's semantics are written once, in its switch or
 // in a helper the switch calls.
 //
-// The outer loop works a basic block at a time: the hang watch, then
-// dispatch, which records the coverage edge and follows (or fills) the
-// predecessor's successor link, then the block-entry event
-// (BlockEnterer), ahead of every hook. The inner loop runs the block's
-// instructions. For each one it checks the step limit and the snapshot
-// sink, runs the instruction's hook chain on the reusable hookCtx, then
-// executes the opcode. decodeBlock ends every block at its first
-// terminator, so only a block's last instruction sets the successor pc
-// and no instruction is tested for being a terminator.
+// The outer loop works a basic block at a time: the hang watch, the
+// coverage edge (recorded on every entry), then dispatch, which reads the
+// block from the code table (or fetches it on its first entry), then the
+// block-entry event (BlockEnterer), ahead of every hook. The inner loop
+// runs the block's instructions. For each one it checks the step limit and
+// the snapshot sink, runs the instruction's hooks on the reusable hookCtx,
+// then executes the opcode. A block's hooks are ordered by instruction,
+// so one cursor walks them as the instructions run. decodeBlock ends every
+// block at its first terminator, so only a block's last instruction sets
+// the successor pc and no instruction is tested for being a terminator.
 func (v *VM) Run() RunResult {
 	// A reused machine must not leak dispatch state between runs: the
 	// entry edge of every run has From == 0 (the coverage.go Edge
@@ -226,20 +238,23 @@ func (v *VM) Run() RunResult {
 	regs := &v.CPU.Regs
 	ctx := &v.hookCtx
 	pc := v.CPU.PC
-	var prev *Block
 blocks:
 	for {
 		if v.hangBudget != 0 && v.steps >= v.hangBudget {
 			return v.failed(v.hangFail(pc, v.steps))
 		}
-		b, err := v.dispatch(prev, pc)
+		if v.cov != nil {
+			v.cov.hit(v.lastBlock, pc)
+			v.lastBlock = pc
+		}
+		b, err := v.dispatch(pc)
 		if err != nil {
 			return v.crashed(pc, err.Error())
 		}
-		prev = b
 		for _, e := range v.enterers {
 			e.EnterBlock()
 		}
+		hooks, k := b.hooks, 0
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			addr := b.Addr(i)
@@ -256,10 +271,12 @@ blocks:
 			// so an indirect transfer reads its override only when a hook
 			// ran on this one.
 			override := false
-			if b.hooks != nil && len(b.hooks[i]) != 0 {
+			if k < len(hooks) && hooks[k].inst == uint32(i) {
 				ctx.reset(addr, *in)
-				for _, he := range b.hooks[i] {
+				for ; k < len(hooks) && hooks[k].inst == uint32(i); k++ {
+					he := &hooks[k]
 					v.hookRuns++
+					ctx.owner = he.owner
 					if err := he.h(ctx); err != nil {
 						if f, ok := err.(*Failure); ok {
 							return v.failed(f)
@@ -270,15 +287,18 @@ blocks:
 					// replaces it entirely: later hooks (monitors, tracing)
 					// must not observe or validate an instruction that
 					// will not execute.
-					if ctx.hasJump || ctx.skip {
+					if ctx.hasJump {
+						pc = ctx.jumpTo
+						continue blocks
+					}
+					if ctx.skip {
 						break
 					}
 				}
-				if ctx.hasJump {
-					pc = ctx.jumpTo
-					continue blocks
-				}
 				if ctx.skip {
+					for k < len(hooks) && hooks[k].inst == uint32(i) {
+						k++
+					}
 					pc = next
 					continue
 				}

@@ -17,7 +17,7 @@ import (
 func TestHookedLoopZeroAllocs(t *testing.T) {
 	measure := func(trips uint64) uint64 {
 		var hooks uint64
-		pl := pluginFunc{name: "alloc-trace", f: func(v *VM, blk *Block) {
+		pl := pluginFunc{name: "alloc-trace", f: func(blk *Block) {
 			for i := range blk.Insts {
 				blk.AddHook(i, PrioTrace, func(ctx *Ctx) error {
 					hooks++
@@ -105,7 +105,7 @@ func TestHookOrderUnderHeavyInstrumentation(t *testing.T) {
 		}
 		var inserted []tagged
 		n := 5 + rng.Intn(40)
-		plugin := pluginFunc{name: "order", f: func(v *VM, blk *Block) {
+		plugin := pluginFunc{name: "order", f: func(blk *Block) {
 			for id := 0; id < n; id++ {
 				id := id
 				p := prios[rng.Intn(len(prios))]
@@ -145,8 +145,7 @@ func TestHookOrderUnderHeavyInstrumentation(t *testing.T) {
 }
 
 // selfLoopProgram builds a one-block loop whose back edge targets its own
-// head, so after the first pass the block is dispatched through a successor
-// link held by the block itself.
+// head, so after the first pass the block re-enters itself.
 func selfLoopProgram(t *testing.T) (*image.Image, map[string]uint32) {
 	return buildImage(t, func(a *asm.Assembler) {
 		a.Label("main")
@@ -165,7 +164,7 @@ func selfLoopProgram(t *testing.T) (*image.Image, map[string]uint32) {
 // TestTracePatchSideExit: a hook applies a patch to a later instruction of
 // the block that is executing. Run finishes the current pass through the
 // block as decoded, and every later entry must see the patch, even though
-// the only way back into the block is the block's own successor link.
+// the only way back into the block is the block's own back edge.
 func TestTracePatchSideExit(t *testing.T) {
 	im, labels := selfLoopProgram(t)
 	v, err := New(Config{Image: im})
@@ -194,8 +193,8 @@ func TestTracePatchSideExit(t *testing.T) {
 		t.Fatalf("res = %+v", res)
 	}
 	// The patch lands on pass 5 (EAX is read before the increment), after
-	// that pass's block was decoded: passes 6..10 see it — 5 hits. A stale
-	// self-link would keep running the unpatched block.
+	// that pass's block was decoded: passes 6..10 see it — 5 hits. A slot
+	// left marked entered would keep running the unpatched block.
 	if decHits != 5 {
 		t.Fatalf("probe ran %d times, want 5 (patch missed, or applied mid-pass)", decHits)
 	}

@@ -63,9 +63,9 @@ func (v *VM) Snapshot() *Snapshot {
 // The machine must have been built over the same image and input stream as
 // the machine the snapshot was taken from; patches and plugins may differ
 // (that is the point: the replay farm restores one recorded state under
-// many candidate patch sets). The code cache is flushed so blocks are
-// re-instrumented against the restored machine's patch set and re-decoded
-// against the restored memory, which may hold code the guest rewrote.
+// many candidate patch sets). The code cache is flushed: every block is
+// entered afresh, checked again against the restored memory, which may
+// hold code the guest rewrote, and given this machine's patches.
 func (v *VM) Restore(s *Snapshot) {
 	v.CPU = s.CPU
 	v.Mem = s.Mem.Clone()
@@ -77,8 +77,9 @@ func (v *VM) Restore(s *Snapshot) {
 	v.steps = s.Steps
 	v.hookRuns = s.HookRuns
 	v.blocks = s.Blocks
-	v.cache = make(map[uint32]*Block)
-	v.cacheGen++    // orphan successor links held by pre-restore blocks
+	clear(v.entered)
+	v.own = nil
+	clear(v.hot[:])
 	v.lastBlock = 0 // coverage resumes with a fresh entry edge
 }
 

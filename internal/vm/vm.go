@@ -5,15 +5,21 @@
 // are given each block once, as it enters the cache, and may attach hooks
 // to individual instructions (instrumentation); a plugin may also be
 // installed on each new machine (Installer) and told of every block entry
-// (BlockEnterer). Patches attach hooks to
-// instruction addresses through the patch manager and can be applied to and
-// removed from a *running* machine; affected blocks are ejected from the
-// cache so the change takes effect immediately, without a restart and
-// without otherwise perturbing the execution.
+// (BlockEnterer). The cache is a code table of decoded, instrumented
+// blocks indexed by instruction slot. Machines of one image whose plugins
+// all promise instance-independent instrumentation (BlockSharer) share one
+// table, so a block is decoded and instrumented once per image and plugin
+// set; a machine keeps only which slots it has entered, its patches, and
+// the blocks of its own those patches and any rewritten code need. Patches
+// attach hooks to instruction addresses through the patch manager and can
+// be applied to and removed from a *running* machine; affected blocks are
+// flushed so the change takes effect at their next entry, without a restart
+// and without otherwise perturbing the execution.
 package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/image"
 	"repro/internal/isa"
@@ -106,7 +112,7 @@ type RunResult struct {
 	Crash    *Crash   // set iff Outcome == OutcomeCrash
 	Output   []byte   // the "display": everything the app wrote via SYS write
 	Steps    uint64   // instructions executed
-	Blocks   int      // basic blocks decoded into the cache
+	Blocks   int      // basic blocks entered for the first time since the machine was built or flushed there
 	HookRuns uint64   // instrumentation/patch hook invocations
 }
 
@@ -116,13 +122,30 @@ type RunResult struct {
 //
 // A plugin may also take either of the machine's two events by
 // implementing its one method: Installer's Install, once per machine, and
-// BlockEnterer's EnterBlock, once per basic-block entry. New type-asserts
-// each plugin once; there is nothing to register.
+// BlockEnterer's EnterBlock, once per basic-block entry. And it may let
+// machines share its instrumentation by implementing BlockSharer. New
+// type-asserts each plugin once; there is nothing to register.
 type Plugin interface {
 	Name() string
 	// Instrument may attach hooks to the block's instructions. It is
-	// called exactly once per block per cache insertion.
-	Instrument(v *VM, b *Block)
+	// called once per block of a code table: for a private table, at the
+	// block's first entry on the machine; for a shared one, by whichever
+	// machine of the image enters the block first. A block decoded from
+	// guest memory is instrumented for the machine alone.
+	Instrument(b *Block)
+}
+
+// BlockSharer is implemented by a plugin whose instrumentation every
+// machine of an image may share. By implementing ShareBlocks a plugin
+// promises three things. Its Instrument depends only on the block and the
+// plugin's type, never on the instance. Its hooks capture nothing: they
+// reach this machine's instance, and any per-machine state it keeps,
+// through Ctx.Plugin. And instrumenting has no side effects. A machine
+// whose plugins all implement it reads the code table kept on its image
+// for their types, in order; a machine with any other plugin builds a
+// private table.
+type BlockSharer interface {
+	ShareBlocks()
 }
 
 // Installer is implemented by a plugin that wires itself into each
@@ -181,14 +204,21 @@ type VM struct {
 
 	plugins  []Plugin
 	enterers []BlockEnterer // the plugins that take EnterBlock
-	patches  *patchSet
-	cache    map[uint32]*Block
-	// cacheGen is the code-cache generation; block successor links are
-	// valid only for the generation they were created under, so a patch
-	// flush that ejects a block, and every Restore, invalidates all links
-	// by incrementing it.
-	cacheGen uint64
+	patches  patchSet
 	stack    StackProvider
+
+	// The code cache: the code table the machine reads (shared or its
+	// own), a bitset of the table slots it has entered since it was built
+	// or last flushed there, and the blocks it keeps for itself — table
+	// blocks a patch covers, with the patch hooks attached, and blocks
+	// decoded from guest memory — by start address.
+	code    *codeTable
+	entered []uint64
+	own     map[uint32]*Block
+	// hot is a direct-mapped cache of own blocks by start address, so a
+	// loop through patched blocks (an invariant-checking run) does not
+	// look each one up in own.
+	hot [16]*Block
 
 	// hookCtx is the one context every hook is handed. A hook sees it for
 	// exactly one instruction and never retains it, so Run resets it per
@@ -212,6 +242,7 @@ type VM struct {
 	hookRuns     uint64
 	blocks       int
 	guestDecodes int
+	built        int
 
 	snapInterval uint64
 	snapSink     func(*Snapshot)
@@ -242,6 +273,9 @@ func New(cfg Config) (*VM, error) {
 	if err := cfg.Image.Validate(); err != nil {
 		return nil, err
 	}
+	if len(cfg.Plugins) > math.MaxUint16 {
+		return nil, fmt.Errorf("vm: %d plugins, at most %d", len(cfg.Plugins), math.MaxUint16)
+	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -251,13 +285,14 @@ func New(cfg Config) (*VM, error) {
 		return nil, err
 	}
 	m.Map(DefaultStackTop-DefaultStackSize, DefaultStackSize)
+	code := codeTableFor(cfg.Image, cfg.Plugins)
 	v := &VM{
 		Mem:      m,
 		Heap:     mem.NewHeap(m, DefaultHeapBase, DefaultHeapSize),
 		Image:    cfg.Image,
 		plugins:  cfg.Plugins,
-		patches:  newPatchSet(),
-		cache:    make(map[uint32]*Block),
+		code:     code,
+		entered:  make([]uint64, (len(code.blocks)+63)/64),
 		input:    cfg.Input,
 		maxSteps: cfg.MaxSteps,
 	}

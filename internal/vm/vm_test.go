@@ -231,7 +231,7 @@ type recordingPlugin struct {
 }
 
 func (p *recordingPlugin) Name() string { return "recorder" }
-func (p *recordingPlugin) Instrument(v *VM, b *Block) {
+func (p *recordingPlugin) Instrument(b *Block) {
 	p.blocks = append(p.blocks, b.Start)
 	for i := range b.Insts {
 		b.AddHook(i, PrioTrace, func(ctx *Ctx) error {
