@@ -390,61 +390,6 @@ func BenchmarkAblationRepairOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotClone measures the copy-on-write machine snapshot: the
-// cost of capturing a fully warmed webapp machine (Snapshot), of rewinding
-// a machine onto one (Restore), and of rewinding to a step-0 snapshot and
-// re-running the page to completion (the fast-forward/replay primitive;
-// the farm itself builds fresh machines, which adds image-load cost on
-// top). Snapshot cost must stay O(mapped page table + dirty pages), not
-// O(address space) — the pages metric gives the denominator.
-func BenchmarkSnapshotClone(b *testing.B) {
-	app := webapp.MustBuild()
-	page := redteam.EvaluationPages()[0]
-	warm, err := vm.New(vm.Config{Image: app.Image, Input: page})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res := warm.Run(); res.Outcome != vm.OutcomeExit {
-		b.Fatal(res.Outcome)
-	}
-
-	b.Run("Snapshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = warm.Snapshot()
-		}
-		b.ReportMetric(float64(warm.Mem.PageCount()), "pages")
-	})
-
-	snap := warm.Snapshot()
-	b.Run("Restore", func(b *testing.B) {
-		m, err := vm.New(vm.Config{Image: app.Image, Input: page})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			m.Restore(snap)
-		}
-	})
-
-	start, err := vm.New(vm.Config{Image: app.Image, Input: page})
-	if err != nil {
-		b.Fatal(err)
-	}
-	startSnap := start.Snapshot()
-	b.Run("RestoreAndRun", func(b *testing.B) {
-		m, err := vm.New(vm.Config{Image: app.Image, Input: page})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			m.Restore(startSnap)
-			if res := m.Run(); res.Outcome != vm.OutcomeExit {
-				b.Fatal(res.Outcome)
-			}
-		}
-	})
-}
-
 // BenchmarkReplayFarm measures parallel candidate evaluation against the
 // sequential re-execution it replaces: 311710's 30 candidate repairs
 // judged against one recorded failing run. Sequential is the farm with one

@@ -76,7 +76,6 @@ func run(exploitID string, workers int, deadline time.Duration, confirm, profile
 	fmt.Printf("\nrecorded failing run in %v:\n", time.Since(recStart).Round(time.Microsecond))
 	fmt.Printf("  failure    %s at %#x (%s)\n", rec.Failure.Monitor, rec.Failure.PC, rec.Failure.Kind)
 	fmt.Printf("  steps      %d\n", rec.Steps)
-	fmt.Printf("  snapshots  %d (every %d steps)\n", len(rec.Snapshots), replay.DefaultSnapshotInterval)
 	fmt.Printf("  wire size  %d bytes (gob)\n", len(raw))
 
 	// Let the pipeline fast-path the whole case off this one presentation.

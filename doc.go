@@ -26,11 +26,11 @@
 // by a small direct-mapped software TLB of recent (page → frame,
 // writable) translations that the 8/32-bit accessors check first. A page
 // group holds its frames as *[PageSize]byte and their copy-on-write state
-// as a bit set; a write to a shared page privatizes just that page. Every event that
-// could make a cached translation lie — Clone resharing pages, a COW
-// break swapping a frame, UnmarshalBinary replacing the table — flushes
-// or rewrites the TLB (property-tested against the original map-backed
-// implementation, kept as a test oracle). Bulk paths (ReadBytes,
+// as a bit set; a write to a shared page privatizes just that page. Every
+// event that could make a cached translation lie — Clone resharing pages,
+// a COW break swapping a frame — flushes or rewrites the TLB
+// (property-tested against the original map-backed implementation, kept
+// as a test oracle). Bulk paths (ReadBytes,
 // WriteBytes, the COPYB instruction) translate once per page run and
 // memmove, preserving interrupted-copy partial progress, per-byte step
 // accounting, and rep-movsb overlap replication bit-for-bit.

@@ -21,17 +21,14 @@ type Node struct {
 	ID    string       // stable identity; all community state is keyed by it
 	Image *image.Image // the protected binary this node runs
 
-	// RecordFailures makes the node capture every execution as a
-	// copy-on-write recording and ship failing ones to the manager
-	// (MsgRecording), enabling the manager's replay fast path.
+	// RecordFailures makes the node seal every failing execution into a
+	// recording of its inputs and outcome (replay.Seal) and ship it to
+	// the manager (MsgRecording), enabling the manager's replay fast path.
 	RecordFailures bool
-	// SnapshotInterval tunes the recording snapshot cadence;
-	// 0 selects replay.DefaultSnapshotInterval.
-	SnapshotInterval uint64
 
 	// Obs, when set, traces this node's pipeline stages: node.execute
 	// (the VM run), detect (failure detection to report assembly),
-	// record.seal (tape sealing), and node.sync (the upstream round
+	// record.seal (recording sealing), and node.sync (the upstream round
 	// trip). Nil disables tracing.
 	Obs *obs.Tracer
 
@@ -180,20 +177,13 @@ func (n *Node) runLocal(input []byte) (vm.RunResult, RunReport, []byte, error) {
 		plugins = append(plugins, rec)
 	}
 
-	cfg := vm.Config{
+	machine, err := vm.New(vm.Config{
 		Image:    n.Image,
 		Plugins:  plugins,
 		Patches:  patches,
 		Input:    input,
 		MaxSteps: n.maxSteps,
-	}
-	var tape *replay.Tape
-	if n.RecordFailures {
-		tape = replay.NewTape(n.SnapshotInterval)
-		cfg.SnapshotInterval = tape.Interval()
-		cfg.SnapshotSink = tape.Sink
-	}
-	machine, err := vm.New(cfg)
+	})
 	if err != nil {
 		return vm.RunResult{}, RunReport{}, nil, err
 	}
@@ -233,9 +223,9 @@ func (n *Node) runLocal(input []byte) (vm.RunResult, RunReport, []byte, error) {
 	}
 
 	var raw []byte
-	if tape != nil && res.Failure != nil {
+	if n.RecordFailures && res.Failure != nil {
 		rsp := n.Obs.Start("record.seal")
-		raw, err = n.sealRecording(tape, input, res)
+		raw, err = n.sealRecording(input, res)
 		rsp.Finish()
 		if err != nil {
 			return res, rep, nil, err
@@ -307,12 +297,11 @@ func (n *Node) RunBatch(inputs [][]byte) ([]vm.RunResult, error) {
 	return results, n.roundTrip(env)
 }
 
-// sealRecording seals the tape of a failing run — including the repair
-// patches the node was running under, so the manager replays the same
-// machine — and returns its wire form for a MsgRecording or MsgBatch
-// upload.
-func (n *Node) sealRecording(tape *replay.Tape, input []byte, res vm.RunResult) ([]byte, error) {
-	rec := tape.Seal(
+// sealRecording seals a failing run — including the repair patches the
+// node was running under, so the manager replays the same machine — and
+// returns its wire form for a MsgRecording or MsgBatch upload.
+func (n *Node) sealRecording(input []byte, res vm.RunResult) ([]byte, error) {
+	rec := replay.Seal(
 		fmt.Sprintf("%s/seq%d", n.ID, n.dir.Seq),
 		n.Image, input, n.dir.Repairs, replay.AllMonitors(), n.maxSteps, res,
 	)

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the community wire codec: one hand-written binary form for
-// every payload kind, in the idiom of mem.MarshalBinary. A payload is
-// wireVersion followed by the message's fields in declaration order:
+// every payload kind. A payload is wireVersion followed by the message's
+// fields in declaration order:
 //
 //   - uint8 fields as one byte; other unsigned integers (counts, lengths,
 //     uint32 and uint64 fields) as minimal uvarints; signed ones (Bound,

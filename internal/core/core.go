@@ -74,9 +74,9 @@ type Config struct {
 	// tracing; the Metrics struct is always populated either way.
 	Obs *obs.Tracer
 
-	// Replay enables the record/replay fast path (internal/replay): every
-	// execution is recorded with copy-on-write snapshots, and when a
-	// failure is detected the recorded run is immediately replayed —
+	// Replay enables the record/replay fast path (internal/replay): a
+	// failing execution is sealed into a recording of its inputs and
+	// outcome (replay.Seal), and the recorded run is immediately replayed —
 	// first under the checking patches (compressing the runs-2/3 checking
 	// phase), then once per candidate repair on a parallel farm
 	// (compressing the run-4+ exploration) — all within the first failing
@@ -91,17 +91,15 @@ type ReplayConfig struct {
 	// Deadline bounds each candidate replay in wall-clock time; 0 means
 	// the machine step budget is the only bound.
 	Deadline time.Duration
-	// SnapshotInterval is the recording snapshot cadence in steps;
-	// 0 selects replay.DefaultSnapshotInterval.
-	SnapshotInterval uint64
 	// VetRecordings replays each freshly sealed recording once,
 	// unmodified, and confirms the recorded outcome reproduces
 	// (replay.Farm.Vet) before the fast path trusts it — a determinism
-	// self-check of the recording pipeline itself (a tape corrupted by a
-	// snapshot bug would otherwise silently mis-rank candidates), at the
-	// cost of one extra replay per failing run. A recording that fails
-	// the vet is ignored and the live pipeline proceeds as in the paper;
-	// Metrics.VetRejects counts such rejections. Cross-trust-boundary
+	// self-check of the recording pipeline itself (a recording that does
+	// not reproduce its run would otherwise silently mis-rank
+	// candidates), at the cost of one extra replay per failing run. A
+	// recording that fails the vet is ignored and the live pipeline
+	// proceeds as in the paper; Metrics.VetRejects counts such
+	// rejections. Cross-trust-boundary
 	// vetting of recordings shipped in by community members is the
 	// community manager's, via ManagerConfig.VetReports — always
 	// stricter (image identity, step-budget clamp, quarantine), never
@@ -184,22 +182,14 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 		}
 	}
 
-	cfg := vm.Config{
+	start := time.Now()
+	machine, err := vm.New(vm.Config{
 		Image:    cv.conf.Image,
 		Plugins:  plugins,
 		Patches:  patches,
 		Input:    input,
 		MaxSteps: cv.conf.MaxSteps,
-	}
-	var tape *replay.Tape
-	if cv.conf.Replay != nil {
-		tape = replay.NewTape(cv.conf.Replay.SnapshotInterval)
-		cfg.SnapshotInterval = tape.Interval()
-		cfg.SnapshotSink = tape.Sink
-	}
-
-	start := time.Now()
-	machine, err := vm.New(cfg)
+	})
 	if err != nil {
 		return vm.RunResult{Outcome: vm.OutcomeCrash, Crash: &vm.Crash{Reason: err.Error()}}
 	}
@@ -210,9 +200,9 @@ func (cv *ClearView) Execute(input []byte) vm.RunResult {
 
 	cv.afterRun(res, elapsed)
 
-	if tape != nil && res.Failure != nil {
+	if cv.conf.Replay != nil && res.Failure != nil {
 		rsp := cv.tr.Start("record.seal")
-		rec := tape.Seal(
+		rec := replay.Seal(
 			fmt.Sprintf("fail@%#x/run%d", res.Failure.PC, cv.TotalRuns),
 			cv.conf.Image, input, deployed, cv.conf.Monitors, cv.conf.MaxSteps, res,
 		)

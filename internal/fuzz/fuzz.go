@@ -56,9 +56,6 @@ type Config struct {
 	MaxSteps uint64
 	// MaxInput caps mutated input length; 0 selects DefaultMaxInput.
 	MaxInput int
-	// SnapshotInterval is the recording cadence for captured findings;
-	// 0 selects replay.DefaultSnapshotInterval.
-	SnapshotInterval uint64
 }
 
 func (c Config) monitors() replay.Monitors {
@@ -76,8 +73,8 @@ type Finding struct {
 	Monitor string
 	Kind    string
 	Input   []byte
-	// Recording replays the finding bit-identically (same monitors, same
-	// step budget as the fuzz execution that discovered it).
+	// Recording is the fuzz execution that discovered the finding, sealed:
+	// it replays bit-identically (same monitors, same step budget).
 	Recording *replay.Recording
 	// Iter is the campaign iteration (0-based) that discovered the PC.
 	Iter int
@@ -220,8 +217,10 @@ func (f *Fuzzer) Step() error {
 }
 
 // recordFailure captures a monitor-detected failure: the first input per
-// failure location becomes a Finding with a deterministic recording;
-// later byte-distinct inputs at the same location count as variants.
+// failure location becomes a Finding whose recording seals the run that
+// found it (the fuzz machine runs under the recorded monitors and step
+// budget; coverage only observes); later byte-distinct inputs at the same
+// location count as variants.
 func (f *Fuzzer) recordFailure(input []byte, res vm.RunResult) {
 	pc := res.Failure.PC
 	if prev, ok := f.byPC[pc]; ok {
@@ -230,19 +229,10 @@ func (f *Fuzzer) recordFailure(input []byte, res vm.RunResult) {
 		}
 		return
 	}
-	mons := f.conf.monitors()
-	rec, _, err := replay.Record(
+	rec := replay.Seal(
 		fmt.Sprintf("fuzz/%#x/iter%d", pc, f.iters-1),
-		f.conf.Image, input, nil,
-		replay.Options{
-			Monitors:         &mons,
-			MaxSteps:         f.conf.MaxSteps,
-			SnapshotInterval: f.conf.SnapshotInterval,
-		},
+		f.conf.Image, input, nil, f.conf.monitors(), f.conf.MaxSteps, res,
 	)
-	if err != nil {
-		rec = nil // the finding stands; only the recording is missing
-	}
 	fd := &Finding{
 		PC:        pc,
 		Monitor:   res.Failure.Monitor,

@@ -214,7 +214,9 @@ func TestNewFailureClassFingerprintDeterminism(t *testing.T) {
 
 // TestFindingRecordingReplays: the captured recording is the shippable
 // artifact — replaying it must reproduce the same failure at the same
-// location, deterministically.
+// location, deterministically, and vetting it must confirm every claim
+// sealed from the fuzz run (outcome, exit code, steps, failure PC and
+// monitor).
 func TestFindingRecordingReplays(t *testing.T) {
 	setup, seeds, _ := campaignFixture(t)
 	f := newCampaign(t, setup, seeds, 1)
@@ -224,7 +226,7 @@ func TestFindingRecordingReplays(t *testing.T) {
 	if len(f.Findings()) == 0 {
 		t.Fatal("no findings after running all seeds")
 	}
-	for _, fd := range f.Findings()[:3] {
+	for _, fd := range f.Findings() {
 		if fd.Recording == nil {
 			t.Fatalf("finding %#x has no recording", fd.PC)
 		}
@@ -234,6 +236,9 @@ func TestFindingRecordingReplays(t *testing.T) {
 		}
 		if res.Failure == nil || res.Failure.PC != fd.PC {
 			t.Fatalf("recording for %#x replayed to %+v", fd.PC, res)
+		}
+		if err := (&replay.Farm{}).Vet(fd.Recording); err != nil {
+			t.Fatalf("recording for %#x: %v", fd.PC, err)
 		}
 	}
 }

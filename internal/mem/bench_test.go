@@ -96,27 +96,3 @@ func BenchmarkWriteBytes4K(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkMarshalRoundTrip tracks the snapshot wire cost: serialize and
-// reconstruct the 64-page working set (what a replay.Recording pays per
-// captured memory image).
-func BenchmarkMarshalRoundTrip(b *testing.B) {
-	m := benchMemory(b)
-	raw, err := m.MarshalBinary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw, err := m.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var back Memory
-		if err := back.UnmarshalBinary(raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -110,7 +109,7 @@ func TestCloneDirtyPageCost(t *testing.T) {
 	}
 }
 
-// TestConcurrentClones exercises the snapshot-fan-out pattern: many
+// TestConcurrentClones exercises the template fan-out pattern: many
 // goroutines clone the same frozen Memory at once and write their clones.
 // Run with -race to validate the synchronization contract.
 func TestConcurrentClones(t *testing.T) {
@@ -119,13 +118,13 @@ func TestConcurrentClones(t *testing.T) {
 	if err := m.Write32(16, 0xABCD); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Clone() // frozen source; only cloned below, never written
+	tmpl := m.Clone() // frozen source; only cloned below, never written
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := snap.Clone()
+			c := tmpl.Clone()
 			for i := 0; i < 200; i++ {
 				if err := c.Write32(uint32(i%8)*PageSize, uint32(w)); err != nil {
 					t.Error(err)
@@ -135,117 +134,11 @@ func TestConcurrentClones(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	got, err := snap.Read32(16)
+	got, err := tmpl.Read32(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 0xABCD {
-		t.Fatalf("snapshot corrupted by concurrent clone writers: %#x", got)
-	}
-}
-
-// TestMemoryMarshalRoundTrip checks the wire format, including zero-page
-// compression and mapped-but-zero pages surviving the trip.
-func TestMemoryMarshalRoundTrip(t *testing.T) {
-	m := New()
-	m.Map(0x1000, 2*PageSize)
-	m.Map(0x4000_0000, PageSize) // stays all-zero but must stay mapped
-	if err := m.WriteBytes(0x1100, []byte("recording")); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Memory
-	if err := back.UnmarshalBinary(raw); err != nil {
-		t.Fatal(err)
-	}
-	if !back.Mapped(0x4000_0000) {
-		t.Fatal("zero page lost its mapping")
-	}
-	got, err := back.ReadBytes(0x1100, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "recording" {
-		t.Fatalf("round trip corrupted data: %q", got)
-	}
-	if back.PageCount() != m.PageCount() {
-		t.Fatalf("page count %d != %d", back.PageCount(), m.PageCount())
-	}
-
-	// A corrupt header claiming a huge page count must fail cleanly, not
-	// attempt the allocation (recordings arrive over the network).
-	hostile := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hostile, 0xFFFF_FFFF)
-	if err := new(Memory).UnmarshalBinary(hostile); err == nil {
-		t.Fatal("hostile page count accepted")
-	}
-}
-
-// TestHeapStateRoundTrip verifies that a rebuilt heap continues allocating
-// exactly where the captured one would have.
-func TestHeapStateRoundTrip(t *testing.T) {
-	m := New()
-	h := NewHeap(m, 0x2000_0000, 0x10000)
-	a, err := h.Alloc(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := h.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	st := h.State()
-
-	m2 := m.Clone()
-	h2 := NewHeapFromState(m2, st)
-
-	// LIFO recycling must resume identically on both heaps.
-	r1, err := h.Alloc(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := h2.Alloc(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != a || r2 != a {
-		t.Fatalf("recycle divergence: orig %#x rebuilt %#x want %#x", r1, r2, a)
-	}
-	n1, err := h.Alloc(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := h2.Alloc(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != n2 {
-		t.Fatalf("brk divergence: orig %#x rebuilt %#x", n1, n2)
-	}
-	if _, ok := h2.FindBlock(b); !ok {
-		t.Fatal("live block lost across state round trip")
-	}
-	a1, f1 := h.Stats()
-	a2, f2 := h2.Stats()
-	if a1 != a2 || f1 != f2 {
-		t.Fatalf("stats divergence: (%d,%d) vs (%d,%d)", a1, f1, a2, f2)
-	}
-
-	// The rebuilt heap writes through its own memory, not the original.
-	if err := m2.Write32(b, 0xDEAD); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.Read32(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == 0xDEAD {
-		t.Fatal("rebuilt heap's memory aliases the original")
+		t.Fatalf("template corrupted by concurrent clone writers: %#x", got)
 	}
 }

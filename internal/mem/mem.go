@@ -11,7 +11,6 @@
 package mem
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -110,22 +109,22 @@ type tlbEntry struct {
 // the first write to a freshly mapped page, which reads from the shared
 // zero page until then. The TLB is flushed whenever a translation could go
 // stale: Clone marks every page shared (cached writable bits would bypass
-// COW), UnmarshalBinary replaces the whole table, and a COW break or zero
-// fill rewrites the entry in place.
+// COW), and a COW break or zero fill rewrites the entry in place.
 //
 // Clone produces copy-on-write clones: the clone and the original share
 // page storage until one of them writes a shared page, at which point the
 // writer copies just that page. A clone therefore costs one page-table
 // copy up front and one page copy per page actually dirtied — the
-// property the snapshot/replay machinery depends on.
+// property a template machine needs: load an image once, then give each
+// new machine a clone of its memory and a fresh NewHeap.
 type Memory struct {
 	groups [numGroups]*pageGroup
 	tlb    [tlbSize]tlbEntry
 
 	// mu serializes Clone calls so many goroutines may clone the same
-	// frozen Memory (e.g. restoring workers from one snapshot)
-	// concurrently. Reads and writes are NOT synchronized: a Memory is
-	// owned by one machine at a time.
+	// frozen Memory (e.g. machines built concurrently from one template)
+	// at once. Reads and writes are NOT synchronized: a Memory is owned
+	// by one machine at a time.
 	mu sync.Mutex
 
 	pageCount int
@@ -145,7 +144,7 @@ func (m *Memory) flushTLB() {
 	}
 }
 
-// Clone returns a copy-on-write snapshot of the address space. Both the
+// Clone returns a copy-on-write copy of the address space. Both the
 // original and the clone remain writable; the first write to a shared page
 // from either side copies that page. Clone is safe to call concurrently on
 // the same receiver as long as no goroutine is concurrently writing it.
@@ -178,7 +177,7 @@ func (m *Memory) Clone() *Memory {
 func (m *Memory) PageCount() int { return m.pageCount }
 
 // CowBreaks returns how many shared pages this Memory has privatized —
-// the dirty-page count a snapshot's cost is proportional to.
+// the dirty-page count a clone's cost is proportional to.
 func (m *Memory) CowBreaks() uint64 { return m.cowBreaks }
 
 // ZeroFills returns how many freshly mapped pages this Memory has given a
@@ -393,9 +392,8 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 // ReadRun returns a read-only view of the n bytes at addr. The run must
 // not cross a page boundary (n <= PageSize - addr%PageSize); the returned
 // slice aliases the page storage (possibly the shared zero page) and is
-// valid only until the next Clone, COW break, zero fill, or
-// UnmarshalBinary. This is the zero-copy primitive the interpreter's
-// block-copy loop builds on.
+// valid only until the next Clone, COW break or zero fill. This is the
+// zero-copy primitive the interpreter's block-copy loop builds on.
 func (m *Memory) ReadRun(addr, n uint32) ([]byte, error) {
 	pn := addr >> pageShift
 	e := &m.tlb[pn&tlbMask]
@@ -427,106 +425,6 @@ func (m *Memory) WriteRun(addr, n uint32) ([]byte, error) {
 	}
 	off := addr & pageMask
 	return p[off : off+n], nil
-}
-
-// forEachPage visits every mapped page in ascending page-number order —
-// the iteration order the two-level table provides for free (no sort).
-func (m *Memory) forEachPage(f func(pn uint32, p *frame)) {
-	for gi, g := range m.groups {
-		if g == nil {
-			continue
-		}
-		for si := range g.pages {
-			if p := g.pages[si]; p != nil {
-				f(uint32(gi)<<groupShift|uint32(si), p)
-			}
-		}
-	}
-}
-
-// MarshalBinary serializes the address space: a page count followed by
-// (page index, flag, data) records in ascending page order. All-zero pages
-// are encoded as a flag byte only, so sparse spaces stay small on the wire.
-// gob uses this automatically, which is how snapshots inside a
-// replay.Recording travel between community nodes and the manager.
-func (m *Memory) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4, 4+m.pageCount*5)
-	binary.LittleEndian.PutUint32(out, uint32(m.pageCount))
-	var pnb [4]byte
-	m.forEachPage(func(pn uint32, p *frame) {
-		binary.LittleEndian.PutUint32(pnb[:], pn)
-		out = append(out, pnb[:]...)
-		if isZeroPage(p) || allZero(p[:]) {
-			out = append(out, 0)
-			return
-		}
-		out = append(out, 1)
-		out = append(out, p[:]...)
-	})
-	return out, nil
-}
-
-// UnmarshalBinary reconstructs an address space serialized by
-// MarshalBinary. All-zero pages map onto the zero page, as fresh mappings
-// do; every other page is owned (no sharing).
-func (m *Memory) UnmarshalBinary(b []byte) error {
-	if len(b) < 4 {
-		return fmt.Errorf("mem: truncated page table header: %d bytes", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Each page record is at least 5 bytes, so a count that cannot fit in
-	// the remaining payload is corrupt. Checking before decoding keeps a
-	// hostile page count (recordings arrive over the community transport)
-	// from forcing giant allocations.
-	if uint64(n)*5 > uint64(len(b)) {
-		return fmt.Errorf("mem: page count %d exceeds payload (%d bytes)", n, len(b))
-	}
-	m.groups = [numGroups]*pageGroup{}
-	m.flushTLB()
-	m.pageCount = 0
-	m.cowBreaks = 0
-	m.zeroFills = 0
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 5 {
-			return fmt.Errorf("mem: truncated page record %d", i)
-		}
-		pn := binary.LittleEndian.Uint32(b)
-		flag := b[4]
-		b = b[5:]
-		if pn >= 1<<(32-pageShift) {
-			return fmt.Errorf("mem: page index %#x out of range", pn)
-		}
-		page := &zeroPage
-		if flag != 0 {
-			if len(b) < PageSize {
-				return fmt.Errorf("mem: truncated page data for page %#x", pn)
-			}
-			page = new(frame)
-			copy(page[:], b[:PageSize])
-			b = b[PageSize:]
-		}
-		g := m.groups[pn>>groupShift]
-		if g == nil {
-			g = new(pageGroup)
-			m.groups[pn>>groupShift] = g
-		}
-		if g.pages[pn&groupMask] == nil {
-			m.pageCount++
-		}
-		g.pages[pn&groupMask] = page
-		g.clearShared(pn & groupMask)
-	}
-	return nil
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Block is one allocated heap block in the allocation map.
@@ -678,58 +576,4 @@ func (h *Heap) FindBlock(addr uint32) (Block, bool) {
 // LiveBlocks returns a copy of the allocation map, sorted by address.
 func (h *Heap) LiveBlocks() []Block {
 	return append([]Block(nil), h.blocks...)
-}
-
-// HeapState is a self-contained deep copy of the allocator bookkeeping —
-// everything a Heap holds besides the backing Memory. All fields are
-// exported so the state gob-serializes inside machine snapshots.
-type HeapState struct {
-	Base     uint32
-	Limit    uint32
-	Brk      uint32
-	Blocks   []Block
-	Freelist map[uint32][]uint32
-	Allocs   uint64
-	Frees    uint64
-}
-
-// State captures the allocator bookkeeping. The copy is deep: mutating the
-// heap afterwards never changes the returned state.
-func (h *Heap) State() HeapState {
-	fl := make(map[uint32][]uint32, len(h.freelist))
-	for size, list := range h.freelist {
-		if len(list) == 0 {
-			continue
-		}
-		fl[size] = append([]uint32(nil), list...)
-	}
-	return HeapState{
-		Base:     h.base,
-		Limit:    h.limit,
-		Brk:      h.brk,
-		Blocks:   append([]Block(nil), h.blocks...),
-		Freelist: fl,
-		Allocs:   h.allocs,
-		Frees:    h.frees,
-	}
-}
-
-// NewHeapFromState rebuilds an allocator over m from captured bookkeeping.
-// The state is copied in, so one HeapState may seed many heaps (the replay
-// farm restores every worker from the same snapshot).
-func NewHeapFromState(m *Memory, s HeapState) *Heap {
-	fl := make(map[uint32][]uint32, len(s.Freelist))
-	for size, list := range s.Freelist {
-		fl[size] = append([]uint32(nil), list...)
-	}
-	return &Heap{
-		mem:      m,
-		base:     s.Base,
-		limit:    s.Limit,
-		brk:      s.Brk,
-		blocks:   append([]Block(nil), s.Blocks...),
-		freelist: fl,
-		allocs:   s.Allocs,
-		frees:    s.Frees,
-	}
 }

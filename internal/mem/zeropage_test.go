@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"testing"
@@ -10,6 +9,15 @@ import (
 // onZeroPage reports whether a run returned by ReadRun aliases the shared
 // zero page.
 func onZeroPage(run []byte) bool { return &run[0] == &zeroPage[0] }
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // TestZeroPageBacksFreshMappings: a fresh mapping reads zero from the
 // shared zero page and gets a private frame only on its first write, which
@@ -59,44 +67,6 @@ func TestZeroPageBacksFreshMappings(t *testing.T) {
 	}
 	if !allZero(zeroPage[:]) {
 		t.Fatal("a write reached the zero page")
-	}
-}
-
-// TestZeroPageUnmarshal: all-zero pages come back from the wire on the zero
-// page, and a round trip preserves every byte.
-func TestZeroPageUnmarshal(t *testing.T) {
-	m := New()
-	m.Map(0, 3*PageSize)
-	if err := m.Write8(PageSize+5, 0x5A); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Memory
-	if err := back.UnmarshalBinary(raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, pn := range []uint32{0, 2} {
-		run, err := back.ReadRun(pn*PageSize, PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !onZeroPage(run) {
-			t.Fatalf("all-zero page %d was given its own frame", pn)
-		}
-	}
-	want, _ := m.ReadBytes(0, 3*PageSize)
-	got, _ := back.ReadBytes(0, 3*PageSize)
-	if !bytes.Equal(got, want) {
-		t.Fatal("round trip changed memory contents")
-	}
-	if err := back.Write8(2*PageSize, 1); err != nil {
-		t.Fatal(err)
-	}
-	if back.ZeroFills() != 1 || back.CowBreaks() != 0 {
-		t.Fatalf("zero fills/COW breaks = %d/%d, want 1/0", back.ZeroFills(), back.CowBreaks())
 	}
 }
 

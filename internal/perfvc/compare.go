@@ -122,8 +122,9 @@ func Compare(base, cand *Profile, opts Options) *Report {
 			continue
 		}
 		if opts.Scope != nil {
-			e := suite.EntryFor(name)
-			if e == nil || !opts.Scope[e.Name] {
+			// A name no registry entry claims any more was deleted from
+			// the suite, so it is removed whatever the scope.
+			if e := suite.EntryFor(name); e != nil && !opts.Scope[e.Name] {
 				continue // the candidate run never attempted this entry
 			}
 		}

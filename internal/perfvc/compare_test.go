@@ -179,12 +179,14 @@ func TestComparatorVerdicts(t *testing.T) {
 // TestCompareNewRemovedAndScope covers the coverage-change verdicts: a
 // benchmark only in the candidate is new, only in the baseline is
 // removed — unless the candidate run's scope never attempted its entry
-// (a short CI suite is not a deletion).
+// (a short CI suite is not a deletion). A baseline benchmark whose entry
+// left the registry was deleted, so it is removed under any scope.
 func TestCompareNewRemovedAndScope(t *testing.T) {
 	base := profileOf(map[string]map[string]Stat{
 		"BenchmarkSteady":       {"ns/op": stat(100, 99, 101, 3)},
 		"BenchmarkNoisy":        {"ns/op": stat(500, 490, 510, 3)},
 		"BenchmarkNoisy/subarm": {"ns/op": stat(100, 95, 105, 3)},
+		"BenchmarkRetired/arm":  {"ns/op": stat(100, 95, 105, 3)},
 	})
 	cand := profileOf(map[string]map[string]Stat{
 		"BenchmarkSteady": {"ns/op": stat(100, 99, 101, 3)},
@@ -192,18 +194,19 @@ func TestCompareNewRemovedAndScope(t *testing.T) {
 	})
 
 	rep := Compare(base, cand, Options{Suite: testSuite()})
-	if rep.New != 1 || rep.Removed != 2 {
-		t.Fatalf("full scope: new=%d removed=%d, want 1/2", rep.New, rep.Removed)
+	if rep.New != 1 || rep.Removed != 3 {
+		t.Fatalf("full scope: new=%d removed=%d, want 1/3", rep.New, rep.Removed)
 	}
 
 	// Scoped to only the entries the candidate actually ran: the absent
-	// BenchmarkNoisy (and its sub-benchmark) is not "removed".
+	// BenchmarkNoisy (and its sub-benchmark) is not "removed", but the
+	// unregistered BenchmarkRetired is.
 	rep = Compare(base, cand, Options{
 		Suite: testSuite(),
 		Scope: map[string]bool{"BenchmarkSteady": true, "BenchmarkRate": true},
 	})
-	if rep.New != 1 || rep.Removed != 0 {
-		t.Fatalf("scoped: new=%d removed=%d, want 1/0", rep.New, rep.Removed)
+	if rep.New != 1 || rep.Removed != 1 {
+		t.Fatalf("scoped: new=%d removed=%d, want 1/1", rep.New, rep.Removed)
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatalf("coverage changes alone must not gate: %v", err)

@@ -137,8 +137,6 @@ func Registry() *Suite {
 				Class: ClassSteady, Gate: []string{"ns/op", "MB/s"}},
 			{Name: "BenchmarkWriteBytes4K", Package: "./internal/mem", Benchtime: "100000x", CIBenchtime: "20000x",
 				Class: ClassSteady, Gate: []string{"ns/op", "MB/s"}},
-			{Name: "BenchmarkMarshalRoundTrip", Package: "./internal/mem", Benchtime: "2000x", CIBenchtime: "300x",
-				Class: ClassMixed, Gate: []string{"ns/op", "allocs/op", "MB/s"}},
 
 			// Root package — the end-to-end paper tables and pipeline
 			// primitives (timing gates; their deterministic count metrics
@@ -166,10 +164,6 @@ func Registry() *Suite {
 			// by name.
 			{Name: "BenchmarkLearningOn", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Gate: []string{"ns/op", "allocs/op", "B/op"}, Info: []string{"trace-entries"}},
-			// CI keeps the full 500x here: a 100x run is warmup-dominated
-			// (~1.7x the amortized per-op cost) and the sample is cheap.
-			{Name: "BenchmarkSnapshotClone", Package: ".", Benchtime: "500x", CIBenchtime: "500x",
-				Class: ClassMixed, Gate: []string{"ns/op", "allocs/op"}, Info: []string{"pages"}},
 			{Name: "BenchmarkReplayFarm", Package: ".", Benchtime: "2x", CIBenchtime: "1x",
 				Class: ClassNoisy, Info: []string{"survivors"}},
 			// The community soak arm: convergence topology cost at 12

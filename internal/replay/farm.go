@@ -40,11 +40,12 @@ type Verdict struct {
 }
 
 // Farm evaluates candidate repairs against a recording concurrently: one
-// full deterministic replay per candidate on a worker pool of cloned
-// machines. This is the offline analog of the community's
-// one-candidate-per-node parallel evaluation (§3) — except the "community"
-// is a pool of goroutines and the "subsequent execution" is the recorded
-// one, so every candidate is judged within a single wall-clock failure.
+// full deterministic replay per candidate on a worker pool, each on a
+// fresh machine built from the recording. This is the offline analog of
+// the community's one-candidate-per-node parallel evaluation (§3) —
+// except the "community" is a pool of goroutines and the "subsequent
+// execution" is the recorded one, so every candidate is judged within a
+// single wall-clock failure.
 type Farm struct {
 	// Workers bounds concurrent replays; 0 uses GOMAXPROCS.
 	Workers int

@@ -7,13 +7,14 @@
 // detects, runs 2–3 check correlated invariants, runs 4+ try candidate
 // repairs one at a time. The simulated machine is fully deterministic —
 // same image, same input, same patches ⇒ same execution — which makes a
-// recorded failing run a perfect offline test bench. A Recording captures
-// everything needed to re-create the run (the image, the input stream, the
-// deployed patch set, the monitor configuration) plus periodic
-// copy-on-write machine snapshots; a Farm then replays the recording under
-// every candidate patch concurrently and feeds the verdicts into
-// internal/evaluate, so the checking phase and the repair ranking collapse
-// into the first failing wall-clock presentation.
+// recorded failing run a perfect offline test bench. A Recording is what
+// a replay reads — the image, the input stream, the deployed patch set,
+// the monitor configuration and the step budget — and the outcome the run
+// claims. Every replay builds a fresh machine from it and runs from step
+// 0: a Farm replays the recording under every candidate patch concurrently
+// and feeds the verdicts into internal/evaluate, so the checking phase and
+// the repair ranking collapse into the first failing wall-clock
+// presentation.
 //
 // Recordings are gob-serializable: community nodes ship failing runs to
 // the manager (see internal/community's MsgRecording), which evaluates
@@ -32,11 +33,6 @@ import (
 	"repro/internal/repair"
 	"repro/internal/vm"
 )
-
-// DefaultSnapshotInterval is the default step gap between periodic machine
-// snapshots while recording. Snapshots are copy-on-write (O(pages dirtied
-// since the last one)), so the default errs toward frequent.
-const DefaultSnapshotInterval = 100_000
 
 // Monitors selects the failure detectors active during a recorded run and
 // its replays. Replays must run under the same monitor configuration as
@@ -138,7 +134,7 @@ func (s *PatchSpec) Repair() *repair.Repair {
 
 // Recording is one captured execution, self-contained and serializable:
 // everything needed to re-create the run bit-identically on another
-// machine, plus periodic snapshots for fast-forwarding.
+// machine, and the outcome the run claims.
 type Recording struct {
 	ID       string      // human-readable label ("node/seqN")
 	Image    []byte      // image.Marshal form
@@ -146,8 +142,6 @@ type Recording struct {
 	Deployed []PatchSpec // repairs in place during the recorded run
 	Monitors Monitors    // monitor configuration of the recorded machine
 	MaxSteps uint64      // step budget of the recorded machine
-
-	Snapshots []*vm.Snapshot // ascending by Steps; [0] is the step-0 state
 
 	// How the recorded run ended.
 	Outcome  vm.Outcome
@@ -182,64 +176,33 @@ func Unmarshal(b []byte) (*Recording, error) {
 	return &r, nil
 }
 
-// Tape collects snapshots during a run and seals them into a Recording.
-// Wire a tape into the machine that should be recorded:
-//
-//	tape := replay.NewTape(0)
-//	cfg.SnapshotInterval, cfg.SnapshotSink = tape.Interval(), tape.Sink
-//
-// and call Seal with the run's result afterwards. internal/core records
-// its own machines this way rather than through Record.
-type Tape struct {
-	interval uint64
-	snaps    []*vm.Snapshot
-}
-
-// NewTape returns a tape; interval 0 selects DefaultSnapshotInterval.
-func NewTape(interval uint64) *Tape {
-	if interval == 0 {
-		interval = DefaultSnapshotInterval
-	}
-	return &Tape{interval: interval}
-}
-
-// Interval returns the snapshot cadence for vm.Config.SnapshotInterval.
-func (t *Tape) Interval() uint64 { return t.interval }
-
-// Sink is the vm.Config.SnapshotSink callback.
-func (t *Tape) Sink(s *vm.Snapshot) { t.snaps = append(t.snaps, s) }
-
-// Len returns the number of snapshots captured so far.
-func (t *Tape) Len() int { return len(t.snaps) }
-
-// Seal packages the tape and the run's outcome into a Recording. The tape
-// is reset for reuse.
-func (t *Tape) Seal(id string, img *image.Image, input []byte, deployed []PatchSpec, mons Monitors, maxSteps uint64, res vm.RunResult) *Recording {
+// Seal packages a finished run into a Recording: what the machine ran
+// under — image, input, deployed patches, monitors and step budget — and
+// how the run ended. The input and patch list are copied, so the caller
+// may reuse its own. maxSteps 0 records vm.DefaultMaxSteps, the budget
+// the machine ran under. Plugins that only observe (a tracer, the CFG
+// builder, edge coverage) may have ridden along: a replay without them
+// runs the same way.
+func Seal(id string, img *image.Image, input []byte, deployed []PatchSpec, mons Monitors, maxSteps uint64, res vm.RunResult) *Recording {
 	if maxSteps == 0 {
 		maxSteps = vm.DefaultMaxSteps
 	}
-	rec := &Recording{
-		ID:        id,
-		Image:     img.Marshal(),
-		Input:     append([]byte(nil), input...),
-		Deployed:  append([]PatchSpec(nil), deployed...),
-		Monitors:  mons,
-		MaxSteps:  maxSteps,
-		Snapshots: t.snaps,
-		Outcome:   res.Outcome,
-		ExitCode:  res.ExitCode,
-		Failure:   res.Failure,
-		Steps:     res.Steps,
+	return &Recording{
+		ID:       id,
+		Image:    img.Marshal(),
+		Input:    append([]byte(nil), input...),
+		Deployed: append([]PatchSpec(nil), deployed...),
+		Monitors: mons,
+		MaxSteps: maxSteps,
+		Outcome:  res.Outcome,
+		ExitCode: res.ExitCode,
+		Failure:  res.Failure,
+		Steps:    res.Steps,
 	}
-	t.snaps = nil
-	return rec
 }
 
 // Options configures Record.
 type Options struct {
-	// SnapshotInterval is the step gap between periodic snapshots;
-	// 0 selects DefaultSnapshotInterval.
-	SnapshotInterval uint64
 	// Monitors during the run; the zero value means AllMonitors.
 	Monitors *Monitors
 	// MaxSteps bounds the run; 0 selects vm.DefaultMaxSteps.
@@ -254,37 +217,30 @@ func (o Options) monitors() Monitors {
 }
 
 // Record executes input against img under the given deployed patches and
-// monitors, capturing periodic snapshots, and returns the sealed recording
-// together with the run's result. Recording a run that does not fail is
-// legal (the recording documents a healthy baseline); the Farm only
-// requires a recorded failure for its Recurred verdicts.
+// monitors and returns the sealed recording together with the run's
+// result. Recording a run that does not fail is legal (the recording
+// documents a healthy baseline); the Farm only requires a recorded failure
+// for its Recurred verdicts.
 func Record(id string, img *image.Image, input []byte, deployed []PatchSpec, opts Options) (*Recording, vm.RunResult, error) {
-	tape := NewTape(opts.SnapshotInterval)
 	mons := opts.monitors()
-	machine, err := newMachine(img, input, mons, compileSpecs(deployed, ""), opts.MaxSteps, tape)
+	machine, err := newMachine(img, input, mons, compileSpecs(deployed, ""), opts.MaxSteps)
 	if err != nil {
 		return nil, vm.RunResult{}, err
 	}
 	res := machine.Run()
-	return tape.Seal(id, img, input, deployed, mons, opts.MaxSteps, res), res, nil
+	return Seal(id, img, input, deployed, mons, opts.MaxSteps, res), res, nil
 }
 
-// newMachine assembles a machine with the monitor set, patches, and
-// optional tape attached.
-func newMachine(img *image.Image, input []byte, mons Monitors, patches []*vm.Patch, maxSteps uint64, tape *Tape) (*vm.VM, error) {
+// newMachine assembles a machine with the monitor set and patches.
+func newMachine(img *image.Image, input []byte, mons Monitors, patches []*vm.Patch, maxSteps uint64) (*vm.VM, error) {
 	plugins, _, _ := mons.Plugins()
-	cfg := vm.Config{
+	return vm.New(vm.Config{
 		Image:    img,
 		Input:    input,
 		Plugins:  plugins,
 		Patches:  patches,
 		MaxSteps: maxSteps,
-	}
-	if tape != nil {
-		cfg.SnapshotInterval = tape.Interval()
-		cfg.SnapshotSink = tape.Sink
-	}
-	return vm.New(cfg)
+	})
 }
 
 // compileSpecs turns deployed patch specs into machine patches, skipping
@@ -322,7 +278,7 @@ func (r *Recording) NewMachine(img *image.Image, extra []*vm.Patch, excludeFailu
 	}
 	patches := compileSpecs(r.Deployed, excludeFailureID)
 	patches = append(patches, extra...)
-	return newMachine(img, r.Input, r.Monitors, patches, r.MaxSteps, nil)
+	return newMachine(img, r.Input, r.Monitors, patches, r.MaxSteps)
 }
 
 // Replay re-executes the recording from the start under extra patches.
@@ -330,31 +286,6 @@ func (r *Recording) Replay(extra []*vm.Patch, excludeFailureID string) (vm.RunRe
 	machine, err := r.NewMachine(nil, extra, excludeFailureID)
 	if err != nil {
 		return vm.RunResult{}, err
-	}
-	return machine.Run(), nil
-}
-
-// FastForward restores the latest snapshot and runs the tail of the
-// recording. Because machine snapshots do not capture plugin state, the
-// tail runs under Memory Firewall and Heap Guard only (both are consistent
-// at any snapshot point: the firewall is stateless and the guard reads the
-// restored allocator); a Shadow Stack cannot be resumed mid-run, so
-// failures originally detected by it surface as crashes here. Use it for
-// cheap triage — "does the failing tail still misbehave" — not for
-// verdicts; the Farm always replays full runs.
-func (r *Recording) FastForward() (vm.RunResult, error) {
-	img, err := r.DecodeImage()
-	if err != nil {
-		return vm.RunResult{}, err
-	}
-	mons := r.Monitors
-	mons.ShadowStack = false
-	machine, err := newMachine(img, r.Input, mons, compileSpecs(r.Deployed, ""), r.MaxSteps, nil)
-	if err != nil {
-		return vm.RunResult{}, err
-	}
-	if len(r.Snapshots) > 0 {
-		machine.Restore(r.Snapshots[len(r.Snapshots)-1])
 	}
 	return machine.Run(), nil
 }

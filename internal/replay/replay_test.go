@@ -28,7 +28,7 @@ func baseSetup(t *testing.T) *redteam.Setup {
 
 func exploit(t *testing.T, id string) redteam.Exploit {
 	t.Helper()
-	for _, ex := range redteam.Exploits() {
+	for _, ex := range redteam.AllExploits() {
 		if ex.Bugzilla == id {
 			return ex
 		}
@@ -87,9 +87,6 @@ func TestRecordingRoundTrip(t *testing.T) {
 	if res.Failure == nil || rec.Failure == nil {
 		t.Fatalf("recorded run did not fail: %+v", res)
 	}
-	if len(rec.Snapshots) == 0 || rec.Snapshots[0].Steps != 0 {
-		t.Fatalf("recording lacks a step-0 snapshot (%d snapshots)", len(rec.Snapshots))
-	}
 
 	raw, err := rec.Marshal()
 	if err != nil {
@@ -113,15 +110,42 @@ func TestRecordingRoundTrip(t *testing.T) {
 	if got.Steps != rec.Steps {
 		t.Fatalf("replayed steps %d != recorded %d", got.Steps, rec.Steps)
 	}
+}
 
-	// Fast-forwarding from the latest snapshot must still misbehave in the
-	// tail (under MF+HG; the shadow stack cannot resume mid-run).
-	ff, err := back.FastForward()
-	if err != nil {
-		t.Fatal(err)
+// TestRecordingSizeIndependentOfRun: a recording is what its replay reads
+// — image, input, patches, monitors, step budget — and the claimed
+// outcome, so it does not grow with the run. hang-loop runs to its hang
+// budget (~400k steps) and 290162 fails within a few hundred, yet their
+// wire sizes stay within 1 KiB of each other, and each is at most its
+// image and input plus 2 KiB.
+func TestRecordingSizeIndependentOfRun(t *testing.T) {
+	setup := baseSetup(t)
+	size := map[string]int{}
+	steps := map[string]uint64{}
+	for _, id := range []string{"hang-loop", "290162"} {
+		rec, res, err := redteam.RecordAttack(setup, exploit(t, id), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failure == nil {
+			t.Fatalf("%s: recorded run did not fail: %+v", id, res)
+		}
+		raw, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := len(rec.Image) + len(rec.Input) + 2048; len(raw) > limit {
+			t.Errorf("%s: recording is %d bytes, more than its image (%d) and input (%d) plus 2 KiB",
+				id, len(raw), len(rec.Image), len(rec.Input))
+		}
+		size[id], steps[id] = len(raw), rec.Steps
 	}
-	if ff.Outcome == vm.OutcomeExit && ff.ExitCode == 0 {
-		t.Fatalf("fast-forwarded failing run exited cleanly: %+v", ff)
+	if steps["hang-loop"] < 100_000 || steps["290162"] > 1_000 {
+		t.Fatalf("runs of %d and %d steps do not span the range this test needs", steps["hang-loop"], steps["290162"])
+	}
+	if d := size["hang-loop"] - size["290162"]; d >= 1024 || d <= -1024 {
+		t.Errorf("recordings of %d and %d steps are %d and %d bytes: size grows with the run",
+			steps["hang-loop"], steps["290162"], size["hang-loop"], size["290162"])
 	}
 }
 

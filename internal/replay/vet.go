@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/vm"
@@ -42,41 +41,6 @@ func (f *Farm) Vet(rec *Recording) error {
 	case <-time.After(f.Deadline):
 		return fmt.Errorf("replay: vet: deadline exceeded")
 	}
-}
-
-// VetAll vets every recording concurrently on the farm's worker pool and
-// returns one verdict per recording, in input order (nil = the claim
-// reproduced).
-func (f *Farm) VetAll(recs []*Recording) []error {
-	errs := make([]error, len(recs))
-	if len(recs) == 0 {
-		return errs
-	}
-	workers := f.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(recs) {
-		workers = len(recs)
-	}
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range jobs {
-				errs[i] = f.Vet(recs[i])
-			}
-		}()
-	}
-	for i := range recs {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return errs
 }
 
 // diffClaim compares a reproduced run against the recording's claims.

@@ -105,23 +105,3 @@ func TestVetRejectsTampering(t *testing.T) {
 		}
 	}
 }
-
-// TestVetAll: verdicts come back in input order, concurrently.
-func TestVetAll(t *testing.T) {
-	failing, clean := vetRecordings(t)
-	forged := *clean
-	forged.Outcome = vm.OutcomeFailure
-	forged.Failure = &vm.Failure{PC: baseSetup(t).App.Image.Entry, Monitor: "MemoryFirewall"}
-
-	farm := &replay.Farm{Workers: 2}
-	errs := farm.VetAll([]*replay.Recording{failing, &forged, clean})
-	if errs[0] != nil {
-		t.Errorf("honest recording rejected: %v", errs[0])
-	}
-	if errs[1] == nil {
-		t.Error("forged recording passed")
-	}
-	if errs[2] != nil {
-		t.Errorf("honest clean recording rejected: %v", errs[2])
-	}
-}

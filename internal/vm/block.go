@@ -388,10 +388,10 @@ func (v *VM) fetchBlock(pc uint32) (*Block, error) {
 //
 // A block that starts on an instruction slot of the image is the code
 // table's, once guest memory is checked to still hold the image's code
-// bytes the table decoded, and slot is that slot. Code the guest overwrote
-// or a Restore brought back different, an unaligned start, and a block
-// that runs off the table or into an undecodable slot are decoded from
-// guest memory instead, with the same crash reasons, and slot is -1.
+// bytes the table decoded, and slot is that slot. Code the guest
+// overwrote, an unaligned start, and a block that runs off the table or
+// into an undecodable slot are decoded from guest memory instead, with the
+// same crash reasons, and slot is -1.
 func (v *VM) decodeBlock(pc uint32) (b *Block, slot int, err error) {
 	if s, ok := v.slot(pc); ok {
 		if b := v.code.block(v, s); b != nil && v.codeIntact(b) {

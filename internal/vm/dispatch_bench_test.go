@@ -76,7 +76,7 @@ func runHotLoop(b *testing.B, cfg Config) {
 }
 
 // BenchmarkDispatchHot is the unhooked straight-line hot path: no plugins,
-// no snapshot sink, no coverage. The acceptance bar is 0 allocs/op.
+// no coverage. The acceptance bar is 0 allocs/op.
 func BenchmarkDispatchHot(b *testing.B) {
 	runHotLoop(b, Config{})
 }

@@ -224,9 +224,9 @@ var errHalt = errors.New("halt instruction")
 // coverage edge (recorded on every entry), then dispatch, which reads the
 // block from the code table (or fetches it on its first entry), then the
 // block-entry event (BlockEnterer), ahead of every hook. The inner loop
-// runs the block's instructions. For each one it checks the step limit and
-// the snapshot sink, runs the instruction's hooks on the reusable hookCtx,
-// then executes the opcode. A block's hooks are ordered by instruction,
+// runs the block's instructions. For each one it checks the step limit,
+// runs the instruction's hooks on the reusable hookCtx, then executes the
+// opcode. A block's hooks are ordered by instruction,
 // so one cursor walks them as the instructions run. decodeBlock ends every
 // block at its first terminator, so only a block's last instruction sets
 // the successor pc and no instruction is tested for being a terminator.
@@ -261,9 +261,6 @@ blocks:
 			v.CPU.PC = addr
 			if v.steps >= v.maxSteps {
 				return v.crashed(addr, "step limit exceeded (hang)")
-			}
-			if v.snapSink != nil {
-				v.maybeSnapshot()
 			}
 			v.steps++
 			next := addr + isa.InstSize

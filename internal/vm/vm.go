@@ -181,14 +181,6 @@ type Config struct {
 	Input    []byte   // the input stream (sequence of pages)
 	MaxSteps uint64
 
-	// SnapshotInterval asks the machine to emit a state snapshot to
-	// SnapshotSink every ~interval executed instructions (plus one at step
-	// 0, before the first instruction). Snapshots are copy-on-write, so
-	// the recording overhead is proportional to pages dirtied between
-	// snapshots. Both fields must be set for capture to happen.
-	SnapshotInterval uint64
-	SnapshotSink     func(*Snapshot)
-
 	// Coverage, when non-nil, records per-basic-block edge coverage: every
 	// time the dispatch loop enters a block from the code cache, the
 	// (previous block, next block) edge is counted. nil costs nothing.
@@ -244,10 +236,6 @@ type VM struct {
 	guestDecodes int
 	built        int
 
-	snapInterval uint64
-	snapSink     func(*Snapshot)
-	nextSnap     uint64
-
 	cov       *Coverage
 	lastBlock uint32
 
@@ -295,10 +283,6 @@ func New(cfg Config) (*VM, error) {
 		entered:  make([]uint64, (len(code.blocks)+63)/64),
 		input:    cfg.Input,
 		maxSteps: cfg.MaxSteps,
-	}
-	if cfg.SnapshotInterval > 0 && cfg.SnapshotSink != nil {
-		v.snapInterval = cfg.SnapshotInterval
-		v.snapSink = cfg.SnapshotSink
 	}
 	v.cov = cfg.Coverage
 	v.hookCtx.VM = v
